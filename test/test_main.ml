@@ -21,6 +21,7 @@ let () =
       Test_serve.suite;
       Test_fleet.suite;
       Test_tenant.suite;
+      Test_golden.suite;
       Test_telemetry.suite;
       Test_regressions.suite;
       Test_verify.suite;
