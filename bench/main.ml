@@ -918,25 +918,26 @@ let kernels () =
 
 (* ------------------------------------------------------- serving layer *)
 
-(* The encrypted-inference serving load test (lib/serve): Poisson
-   open-loop arrivals played through the admission queue, dynamic
-   batcher and virtual-time scheduler, with real compile+simulate work
+(* The encrypted-inference serving load test (a one-node fleet):
+   Poisson open-loop arrivals played through the admission queue,
+   dynamic batcher and virtual-time scheduler, with real compile+simulate work
    behind each batch.  Records latency percentiles, goodput and shed
    rate into BENCH_cinnamon.json (serve_loadtest section) so the
    serving SLOs have a trajectory across commits. *)
 
-let serve_results : Cinnamon_serve.Loadgen.result list ref = ref []
+let serve_results : Cinnamon_fleet.Loadtest.result list ref = ref []
 
 let serve () =
   section_header
     (Printf.sprintf "Serving load test (%s preset)" (if !quick then "quick" else "default"));
-  let open Cinnamon_serve in
-  let base = if !quick then Loadgen.quick else Loadgen.default in
-  let cfg = { base with Loadgen.lg_jobs = !jobs } in
-  let r = Loadgen.run cfg in
-  Loadgen.print_result r;
+  let open Cinnamon_fleet in
+  let module Slo = Cinnamon_serve.Slo in
+  let base = if !quick then Loadtest.quick else Loadtest.default in
+  let cfg = { base with Loadtest.lg_jobs = !jobs } in
+  let r = Loadtest.run cfg in
+  Loadtest.print_result r;
   serve_results := !serve_results @ [ r ];
-  let rp = r.Loadgen.lr_report in
+  let rp = r.Loadtest.lr_report in
   if rp.Slo.rp_completed > 0 && rp.Slo.rp_compiles >= rp.Slo.rp_admitted then
     Printf.printf
       "  WARNING: batching did not amortize compiles (%d compiles for %d admitted)\n%!"
@@ -1078,8 +1079,8 @@ let write_bench_json file ~wall_seconds =
           ( "serve_loadtest",
             Json.Obj
               (List.map
-                 (fun (r : Cinnamon_serve.Loadgen.result) ->
-                   (r.Cinnamon_serve.Loadgen.lr_mode, Cinnamon_serve.Loadgen.result_json r))
+                 (fun (r : Cinnamon_fleet.Loadtest.result) ->
+                   (r.Cinnamon_fleet.Loadtest.lr_mode, Cinnamon_fleet.Loadtest.result_json r))
                  !serve_results) );
         ]
         @

@@ -316,9 +316,9 @@ let do_bench bench system verify jobs cache_dir list trace metrics =
       | None -> ());
       0
 
-(* serve-sim: play a generated request stream through the virtual-time
-   serving layer (lib/serve) and report SLO metrics. *)
-module Loadgen = Cinnamon_serve.Loadgen
+(* serve-sim: play a generated request stream through a one-node fleet
+   on the virtual-time serving layer and report SLO metrics. *)
+module Loadtest = Cinnamon_fleet.Loadtest
 module Node = Cinnamon_serve.Node
 
 let quick_arg =
@@ -403,38 +403,38 @@ let do_serve_sim quick mode requests overload clients think seed deadline worker
     max_batch jobs cache_dir bench_json trace metrics =
   with_telemetry ~trace ~metrics @@ fun () ->
   Cinnamon_exec.Result_cache.set_dir cache_dir;
-  let base = if quick then Loadgen.quick else Loadgen.default in
+  let base = if quick then Loadtest.quick else Loadtest.default in
   let lg_mode =
     match mode with
-    | None -> base.Loadgen.lg_mode
-    | Some `Open -> Loadgen.Open_loop { overload }
-    | Some `Closed -> Loadgen.Closed_loop { clients; think_factor = think }
+    | None -> base.Loadtest.lg_mode
+    | Some `Open -> Loadtest.Open_loop { overload }
+    | Some `Closed -> Loadtest.Closed_loop { clients; think_factor = think }
   in
   let opt v dflt = Option.value v ~default:dflt in
   let node_capacity =
     {
-      base.Loadgen.lg_capacity with
-      Node.workers = opt workers base.Loadgen.lg_capacity.Node.workers;
-      queue_capacity = opt capacity base.Loadgen.lg_capacity.Node.queue_capacity;
-      max_batch = opt max_batch base.Loadgen.lg_capacity.Node.max_batch;
+      base.Loadtest.lg_capacity with
+      Node.workers = opt workers base.Loadtest.lg_capacity.Node.workers;
+      queue_capacity = opt capacity base.Loadtest.lg_capacity.Node.queue_capacity;
+      max_batch = opt max_batch base.Loadtest.lg_capacity.Node.max_batch;
     }
   in
   let cfg =
     {
       base with
-      Loadgen.lg_mode;
-      lg_requests = opt requests base.Loadgen.lg_requests;
-      lg_seed = opt seed base.Loadgen.lg_seed;
-      lg_deadline_factor = opt deadline base.Loadgen.lg_deadline_factor;
+      Loadtest.lg_mode;
+      lg_requests = opt requests base.Loadtest.lg_requests;
+      lg_seed = opt seed base.Loadtest.lg_seed;
+      lg_deadline_factor = opt deadline base.Loadtest.lg_deadline_factor;
       lg_capacity = node_capacity;
       lg_jobs = resolve_jobs jobs;
     }
   in
   guarded @@ fun () ->
-  let r = Loadgen.run cfg in
-  Loadgen.print_result r;
-  Loadgen.write_section ~file:bench_json r;
-  Printf.printf "serve_loadtest: merged %s section into %s\n" r.Loadgen.lr_mode bench_json;
+  let r = Loadtest.run cfg in
+  Loadtest.print_result r;
+  Loadtest.write_section ~file:bench_json r;
+  Printf.printf "serve_loadtest: merged %s section into %s\n" r.Loadtest.lr_mode bench_json;
   0
 
 (* serve-fleet: sweep fleet sizes under Poisson/diurnal traces for each

@@ -1,9 +1,8 @@
 (* The fleet layer on one page: three serving nodes behind a
    locality-aware router, a two-benchmark mix so requests carry two
    distinct batch compatibility keys, and an autoscaler watching the
-   queues.  Shows the Node interface (one record: execute + on_terminal
-   + capacity), the warm-key cache routing, and the merged fleet SLO
-   report.
+   queues.  Shows the Node interface (one record: execute + capacity),
+   the warm-key cache routing, and the merged fleet SLO report.
 
    Run with:  dune exec examples/fleet_demo.exe *)
 
@@ -24,9 +23,7 @@ let () =
   in
   let compile = Cinnamon_compiler.Compile_config.paper () in
   let classes = Serve.Loadgen.calibrate ~pool ~compile mix in
-  let mean_service =
-    List.fold_left (fun acc (c, s) -> acc +. (c.Serve.Loadgen.cls_weight *. s)) 0.0 classes
-  in
+  let mean_service = Serve.Loadgen.mean_service classes in
   let capacity = { Serve.Node.default_capacity with Serve.Node.workers = 2; queue_capacity = 16 } in
   let nodes = 3 in
   let rate = 1.3 *. Float.of_int (nodes * 2) /. mean_service in
@@ -43,9 +40,8 @@ let () =
       }
       ~classes
   in
-  (* Every node implements the same typed Node interface the
-     single-node server uses — here all homogeneous, all running the
-     real compile+simulate executor. *)
+  (* Every node implements the same typed Node interface — here all
+     homogeneous, all running the real compile+simulate executor. *)
   let make_node id =
     Serve.Node.make
       ~name:(Printf.sprintf "node%d" id)
@@ -55,11 +51,11 @@ let () =
     {
       Fleet.Fleet.fc_nodes = nodes;
       fc_policy = Fleet.Router.Locality;
-      fc_key_slots = 1;
-      fc_key_load_s = 0.5 *. mean_service;
       fc_autoscale = Some { Fleet.Autoscaler.default with Fleet.Autoscaler.as_max_nodes = 6 };
       fc_collect_responses = false;
-      fc_tenancy = None;
+      (* one tenant; each node's HBM holds one program's key set, and
+         loading a cold one costs half a mean service time *)
+      fc_tenancy = Fleet.Fleet.default_tenancy ~key_sets:1 ~key_load_s:(0.5 *. mean_service) compile;
     }
   in
   let r = Fleet.Fleet.run ~pool cfg ~make_node ~arrivals () in

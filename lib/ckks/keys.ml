@@ -209,9 +209,6 @@ let provision params ?(conjugation = false) ~rotations sk rng =
     conjugation = (if conjugation then Some (gen_conjugation_key params sk rng) else None);
   }
 
-let gen_eval_key params sk ~rotations ~conjugation rng =
-  provision params ~conjugation ~rotations sk rng
-
 let find_rotation_key ek r =
   match Cinnamon_util.Memo.find_opt ek.rotations r with
   | Some k -> k

@@ -83,15 +83,6 @@ val provision :
   Cinnamon_util.Rng.t ->
   eval_key
 
-val gen_eval_key :
-  Params.t ->
-  secret_key ->
-  rotations:int list ->
-  conjugation:bool ->
-  Cinnamon_util.Rng.t ->
-  eval_key
-[@@ocaml.deprecated "use Keys.provision"]
-
 (** Raises [Invalid_argument] when no key exists for the amount. *)
 val find_rotation_key : eval_key -> int -> switch_key
 

@@ -1,8 +1,18 @@
-(* The multi-node serving driver: one discrete-event loop over the
-   shared virtual clock stepping N per-node Engines, with a Router
-   deciding admission placement, per-node warm-key caches modeling
-   HBM-resident evaluation/rotation key sets, and an optional
-   Autoscaler growing/shrinking the fleet from live SLO signals.
+(* The serving driver: one discrete-event loop over the shared
+   virtual clock stepping N per-node Engines, with a Router deciding
+   admission placement, a tenant key store leasing key epochs,
+   per-node warm-key caches modeling HBM-resident key sets, and an
+   optional Autoscaler growing/shrinking the fleet from live SLO
+   signals.  The single-node server is a fleet of one node, and
+   single-tenant serving is a store that only ever sees the default
+   tenant: there is one loop and one tenancy model.
+
+   Time model.  Admission, batching and completion bookkeeping run in
+   VIRTUAL seconds — a batch dispatched at virtual time t whose
+   executor reports s seconds of service occupies one of its node's
+   simulated executors until t + s (plus any key-load and ingress
+   charge).  The executor itself (a compile + cycle simulation through
+   the Result_cache) is REAL work.
 
    Determinism.  Every decision that shapes the run — routing, batch
    formation, key-cache penalties, autoscaling — happens sequentially
@@ -10,16 +20,18 @@
    the real compile/simulate work: at each virtual instant, the
    batches formed on ALL nodes are fanned across one shared
    Exec.Pool in a single order-preserving map (Engine.execute touches
-   no engine state), then committed back in formation order.  So fleet
-   results are bit-identical for any --jobs, the same property the
-   single-node server and Runner.run_sweep have.
+   no engine state), then committed back in formation order.  So
+   results are bit-identical for any --jobs, the same property
+   Runner.run_sweep has.
 
    Accounting.  Each engine's Slo accumulator absorbs everything that
-   happens to requests it owns; requests no node could take (router
-   found every queue full) are Rejected with the typed
-   Admission.Fleet_full error against a router-level accumulator.
-   [Slo.merge] over router + every node ever spawned restores the
-   exactly-one-terminal-response identity fleet-wide.
+   happens to requests it owns, including its own typed rejections: a
+   request no active node has room for goes to the first active node,
+   whose engine refuses it as Queue_full or Closed.  Refusals with no
+   node to own them — the tenant store declining a lease, or a fleet
+   with no active node (Admission.Fleet_full) — land in a router-level
+   accumulator.  [Slo.merge] over router + every node ever spawned
+   restores the exactly-one-terminal-response identity fleet-wide.
 
    Scaling.  Scale-up spawns [make_node id] and routes to it from the
    next arrival on (its key cache starts cold).  Scale-down drains the
@@ -31,7 +43,6 @@ module Tel = Cinnamon_telemetry.Telemetry
 module Exec = Cinnamon_exec
 module Error = Cinnamon_util.Error
 module Engine = Cinnamon_serve.Engine
-module Node = Cinnamon_serve.Node
 module Request = Cinnamon_serve.Request
 module Response = Cinnamon_serve.Response
 module Admission = Cinnamon_serve.Admission
@@ -40,44 +51,59 @@ module Slo = Cinnamon_serve.Slo
 module Store = Cinnamon_tenant.Store
 module Key_set = Cinnamon_tenant.Key_set
 module Tenant_id = Cinnamon_tenant.Tenant_id
+module Epoch = Cinnamon_tenant.Epoch
 module Transcipher = Cinnamon_tenant.Transcipher
 
-(* Multi-tenant serving: the fleet owns one tenant key store (lazily
-   provisioning tenants on their first arrival), stamps each admitted
-   request with the epoch its lease bound, weighs the per-node key
-   caches by modeled key-set bytes, and charges cold dispatches the
-   HBM load of the bytes they stream in.  The transciphering ingress
-   adds [tn_transcipher_s] per request of a dispatched batch — the
-   calibrated cost of the K_transcipher conversion circuit that turns
-   the client's symmetric upload into a CKKS ciphertext — and the
-   upload model records the bytes that ingress saves. *)
+(* The fleet owns one tenant key store (lazily provisioning tenants on
+   their first arrival), stamps each admitted request with the epoch
+   its lease bound, weighs the per-node key caches by modeled key-set
+   bytes, and charges a cold dispatch [tn_key_load_s] of HBM load —
+   one flat charge, since every key set of one store has the same
+   size.  The transciphering ingress adds [tn_transcipher_s] per
+   request of a dispatched batch — the calibrated cost of the
+   K_transcipher conversion circuit that turns the client's symmetric
+   upload into a CKKS ciphertext — and the upload model records the
+   bytes that ingress saves. *)
 type tenancy = {
   tn_store : Store.config;
   tn_key_capacity_bytes : int; (* per-node HBM key budget *)
-  tn_key_load_s_per_gb : float; (* HBM load penalty per GB streamed in *)
+  tn_key_load_s : float; (* HBM load penalty per cold key-set load *)
   tn_transcipher_s : float; (* ingress service per request; 0 = disabled *)
   tn_upload : Transcipher.upload; (* client-upload byte model *)
 }
 
+let default_tenancy ?key_sets ?(key_load_s = 0.0) compile =
+  let store = Store.default_config (Key_set.profile_of_config compile) in
+  let set_bytes =
+    Key_set.bytes
+      (Key_set.make store.Store.sc_profile ~tenant:Tenant_id.default ~epoch:Epoch.zero
+         ~rotations:store.Store.sc_rotations ~conjugation:store.Store.sc_conjugation)
+  in
+  let upload = Transcipher.upload_of_config compile in
+  {
+    tn_store = store;
+    tn_key_capacity_bytes = (match key_sets with None -> max_int | Some n -> n * set_bytes);
+    tn_key_load_s = key_load_s;
+    tn_transcipher_s = 0.0;
+    (* no transciphering ingress: clients upload CKKS ciphertexts *)
+    tn_upload = { upload with Transcipher.up_sym_bytes = upload.Transcipher.up_ckks_bytes };
+  }
+
 type config = {
   fc_nodes : int; (* initial fleet size *)
   fc_policy : Router.policy;
-  fc_key_slots : int; (* per-node warm-key cache capacity (legacy mode) *)
-  fc_key_load_s : float; (* modeled HBM key-load penalty on a cold dispatch *)
   fc_autoscale : Autoscaler.config option;
   fc_collect_responses : bool; (* retain terminal responses (tests; O(requests)) *)
-  fc_tenancy : tenancy option; (* None = single-tenant legacy behaviour *)
+  fc_tenancy : tenancy;
 }
 
 let default_config =
   {
     fc_nodes = 4;
     fc_policy = Router.Least_loaded;
-    fc_key_slots = 1;
-    fc_key_load_s = 0.0;
     fc_autoscale = None;
     fc_collect_responses = false;
-    fc_tenancy = None;
+    fc_tenancy = default_tenancy (Cinnamon_compiler.Compile_config.paper ());
   }
 
 (* Per-run tenant accounting, all accumulated sequentially on the
@@ -104,7 +130,7 @@ type result = {
   fr_nodes_peak : int;
   fr_nodes_final : int;
   fr_responses : Response.t list; (* [] unless fc_collect_responses *)
-  fr_tenants : tenant_result option; (* Some iff fc_tenancy *)
+  fr_tenants : tenant_result;
 }
 
 let key_hit_rate r =
@@ -123,24 +149,18 @@ let cmp_arrival (a : Request.t) (b : Request.t) =
   | 0 -> compare a.Request.req_id b.Request.req_id
   | c -> c
 
-let run ?pool config ~make_node ~arrivals () =
+let run ?pool ?(on_terminal = fun _ -> []) config ~make_node ~arrivals () =
+  let tn = config.fc_tenancy in
   if config.fc_nodes < 1 then Error.fail Error.Invalid_input "Fleet.run: fc_nodes must be >= 1";
-  if config.fc_key_slots < 1 then
-    Error.fail Error.Invalid_input "Fleet.run: fc_key_slots must be >= 1";
-  if config.fc_key_load_s < 0.0 || Float.is_nan config.fc_key_load_s then
-    Error.fail Error.Invalid_input "Fleet.run: fc_key_load_s must be >= 0";
-  Option.iter
-    (fun tn ->
-      if tn.tn_key_capacity_bytes < 1 then
-        Error.fail Error.Invalid_input "Fleet.run: tenancy key capacity must be >= 1 byte";
-      if tn.tn_key_load_s_per_gb < 0.0 || Float.is_nan tn.tn_key_load_s_per_gb then
-        Error.fail Error.Invalid_input "Fleet.run: tenancy key-load rate must be >= 0";
-      if tn.tn_transcipher_s < 0.0 || Float.is_nan tn.tn_transcipher_s then
-        Error.fail Error.Invalid_input "Fleet.run: transcipher service must be >= 0")
-    config.fc_tenancy;
+  if tn.tn_key_capacity_bytes < 1 then
+    Error.fail Error.Invalid_input "Fleet.run: tenancy key capacity must be >= 1 byte";
+  if tn.tn_key_load_s < 0.0 || Float.is_nan tn.tn_key_load_s then
+    Error.fail Error.Invalid_input "Fleet.run: tenancy key-load penalty must be >= 0";
+  if tn.tn_transcipher_s < 0.0 || Float.is_nan tn.tn_transcipher_s then
+    Error.fail Error.Invalid_input "Fleet.run: transcipher service must be >= 0";
   Option.iter Autoscaler.validate config.fc_autoscale;
   Tel.name_process ~pid:Engine.serve_pid "serve (virtual time)";
-  let store = Option.map (fun tn -> Store.create tn.tn_store) config.fc_tenancy in
+  let store = Store.create tn.tn_store in
   (* tenant accounting, all mutated sequentially on the virtual clock *)
   let key_penalty_s = ref 0.0 in
   let transcipher_s = ref 0.0 in
@@ -154,40 +174,33 @@ let run ?pool config ~make_node ~arrivals () =
     if rs <> [] then pending := List.merge cmp_arrival (List.stable_sort cmp_arrival rs) !pending
   in
   let responses = ref [] in
-  let record resp = if config.fc_collect_responses then responses := resp :: !responses in
   (* every terminal response funnels through here exactly once: drop
-     the request's key lease (its epoch may now finish rotating) and
-     log the tenant's first completion for cold-start percentiles *)
+     the request's key lease (its epoch may now finish rotating), log
+     the tenant's first completion for cold-start percentiles, and let
+     the traffic model react — closed-loop follow-ups re-enter through
+     the router *)
   let terminal (resp : Response.t) =
-    (match store with
-    | Some st -> (
-      let r = resp.Response.req in
-      match resp.Response.outcome with
-      | Response.Rejected (Admission.Tenant_unavailable _) ->
-        () (* never leased: the store refused at admission *)
-      | _ ->
-        Store.release st r.Request.req_tenant r.Request.req_epoch;
-        (match Response.latency_s resp with
-        | Some l ->
-          let tid = Tenant_id.to_int r.Request.req_tenant in
-          if not (Hashtbl.mem cold_start tid) then Hashtbl.replace cold_start tid (l *. 1e3)
-        | None -> ()))
-    | None -> ());
-    record resp
+    (let r = resp.Response.req in
+     match resp.Response.outcome with
+     | Response.Rejected (Admission.Tenant_unavailable _) ->
+       () (* never leased: the store refused at admission *)
+     | _ -> (
+       Store.release store r.Request.req_tenant r.Request.req_epoch;
+       match Response.latency_s resp with
+       | Some l ->
+         let tid = Tenant_id.to_int r.Request.req_tenant in
+         if not (Hashtbl.mem cold_start tid) then Hashtbl.replace cold_start tid (l *. 1e3)
+       | None -> ()));
+    if config.fc_collect_responses then responses := resp :: !responses;
+    insert_pending (on_terminal resp)
   in
   let mk_fnode id =
-    let node = make_node id in
-    let respond resp =
-      terminal resp;
-      (* closed-loop follow-ups re-enter through the router *)
-      insert_pending (node.Node.on_terminal resp)
-    in
-    let keys =
-      match config.fc_tenancy with
-      | None -> Key_cache.create_slots ~slots:config.fc_key_slots
-      | Some tn -> Key_cache.create ~capacity_bytes:tn.tn_key_capacity_bytes
-    in
-    { fn_id = id; fn_engine = Engine.create ~node ~respond; fn_keys = keys; fn_draining = false }
+    {
+      fn_id = id;
+      fn_engine = Engine.create ~node:(make_node id) ~respond:terminal;
+      fn_keys = Key_cache.create ~capacity_bytes:tn.tn_key_capacity_bytes;
+      fn_draining = false;
+    }
   in
   let next_node_id = ref 0 in
   let spawn () =
@@ -203,6 +216,13 @@ let run ?pool config ~make_node ~arrivals () =
   let nodes_peak = ref config.fc_nodes in
   let router = Router.create config.fc_policy in
   let router_slo = Slo.create () in
+  (* a refusal no node owns: typed, accounted at the router so the
+     merged report keeps every request terminal *)
+  let refuse (r : Request.t) err =
+    Slo.observe_offered router_slo;
+    Slo.observe_rejected router_slo err;
+    terminal { Response.req = r; outcome = Response.Rejected err }
+  in
   let scaler = Option.map Autoscaler.create config.fc_autoscale in
   let now = ref 0.0 in
   let next_batch_id = ref 0 in
@@ -254,6 +274,7 @@ let run ?pool config ~make_node ~arrivals () =
        the node's cache about this request's (tenant, epoch, program)
        entry, so the locality policy follows tenants to their keys *)
     let entry = Key_cache.entry_of_request r in
+    let act = active () in
     let candidates =
       List.map
         (fun fn ->
@@ -263,49 +284,39 @@ let run ?pool config ~make_node ~arrivals () =
             cd_has_room = Engine.has_room fn.fn_engine;
             cd_warm = Key_cache.mem fn.fn_keys entry;
           })
-        (active ())
+        act
     in
-    match Router.pick router candidates with
-    | Some id ->
+    match (Router.pick router candidates, act) with
+    | Some id, _ ->
       let fn = List.find (fun fn -> fn.fn_id = id) !nodes in
       Engine.offer fn.fn_engine ~now_s:!now r
-    | None ->
-      (* global backpressure: typed fleet-level rejection, accounted at
-         the router so the merged report keeps every request terminal *)
-      Slo.observe_offered router_slo;
-      let err = Admission.Fleet_full { nodes = List.length candidates } in
-      Slo.observe_rejected router_slo err;
-      terminal { Response.req = r; outcome = Response.Rejected err }
+    | None, first :: _ ->
+      (* no node has room: the first one refuses with its own typed
+         reason (queue full, or closed by its drain deadline) *)
+      Engine.offer first.fn_engine ~now_s:!now r
+    | None, [] -> refuse r (Admission.Fleet_full { nodes = 0 })
   in
   let route (r : Request.t) =
-    match store, config.fc_tenancy with
-    | None, _ | _, None -> place r
-    | Some st, Some tn -> (
-      (* tenant admission: provision on first sight, lease the current
-         epoch, stamp the request with it.  In-flight work keeps its
-         stamped epoch through any rotation that starts later. *)
-      let leased =
-        match Store.lease st r.Request.req_tenant with
-        | Error (Store.Unknown_tenant _) -> (
-          match Store.provision st r.Request.req_tenant ~now_s:!now with
-          | Ok _ -> Store.lease st r.Request.req_tenant
-          | Error e -> Error e)
-        | x -> x
-      in
-      match leased with
-      | Error e ->
-        (* typed tenant-level rejection, accounted at the router *)
-        Slo.observe_offered router_slo;
-        let err =
-          Admission.Tenant_unavailable
-            { tenant = r.Request.req_tenant; reason = Store.error_to_string e }
-        in
-        Slo.observe_rejected router_slo err;
-        terminal { Response.req = r; outcome = Response.Rejected err }
-      | Ok ks ->
-        upload_sym := !upload_sym +. Float.of_int tn.tn_upload.Transcipher.up_sym_bytes;
-        upload_ckks := !upload_ckks +. Float.of_int tn.tn_upload.Transcipher.up_ckks_bytes;
-        place (Request.with_epoch r (Key_set.epoch ks)))
+    (* tenant admission: provision on first sight, lease the current
+       epoch, stamp the request with it.  In-flight work keeps its
+       stamped epoch through any rotation that starts later. *)
+    let leased =
+      match Store.lease store r.Request.req_tenant with
+      | Error (Store.Unknown_tenant _) -> (
+        match Store.provision store r.Request.req_tenant ~now_s:!now with
+        | Ok _ -> Store.lease store r.Request.req_tenant
+        | Error e -> Error e)
+      | x -> x
+    in
+    match leased with
+    | Error e ->
+      refuse r
+        (Admission.Tenant_unavailable
+           { tenant = r.Request.req_tenant; reason = Store.error_to_string e })
+    | Ok ks ->
+      upload_sym := !upload_sym +. Float.of_int tn.tn_upload.Transcipher.up_sym_bytes;
+      upload_ckks := !upload_ckks +. Float.of_int tn.tn_upload.Transcipher.up_ckks_bytes;
+      place (Request.with_epoch r (Key_set.epoch ks))
   in
   let rec admit_due () =
     match !pending with
@@ -336,30 +347,17 @@ let run ?pool config ~make_node ~arrivals () =
         List.map
           (fun (fn, b) ->
             let head = List.hd b.Batcher.requests in
-            let entry = Key_cache.entry_of_request head in
-            let penalty_s =
-              match (store, config.fc_tenancy) with
-              | Some st, Some tn ->
-                let bytes =
-                  match
-                    Store.key_set_for st head.Request.req_tenant head.Request.req_epoch
-                  with
-                  | Ok ks -> Key_set.bytes ks
-                  | Error _ -> 0 (* unreachable: the lease pins the epoch *)
-                in
-                let warm = Key_cache.touch fn.fn_keys entry ~bytes in
-                let load =
-                  if warm then 0.0 else tn.tn_key_load_s_per_gb *. Float.of_int bytes /. 1e9
-                in
-                let ingress = tn.tn_transcipher_s *. Float.of_int (Batcher.size b) in
-                key_penalty_s := !key_penalty_s +. load;
-                transcipher_s := !transcipher_s +. ingress;
-                load +. ingress
-              | _ ->
-                let warm = Key_cache.touch fn.fn_keys entry ~bytes:1 in
-                if warm then 0.0 else config.fc_key_load_s
+            let bytes =
+              match Store.key_set_for store head.Request.req_tenant head.Request.req_epoch with
+              | Ok ks -> Key_set.bytes ks
+              | Error _ -> 0 (* unreachable: the lease pins the epoch *)
             in
-            (fn, b, penalty_s))
+            let warm = Key_cache.touch fn.fn_keys (Key_cache.entry_of_request head) ~bytes in
+            let load = if warm then 0.0 else tn.tn_key_load_s in
+            let ingress = tn.tn_transcipher_s *. Float.of_int (Batcher.size b) in
+            key_penalty_s := !key_penalty_s +. load;
+            transcipher_s := !transcipher_s +. ingress;
+            (fn, b, load +. ingress))
           pairs
       in
       let exec (fn, b, _) = Engine.execute fn.fn_engine ~now_s:t_dispatch b in
@@ -384,22 +382,23 @@ let run ?pool config ~make_node ~arrivals () =
     end
   in
   let tick_store () =
-    Option.iter
-      (fun st ->
-        let evs = Store.tick st ~now_s:!now in
-        if evs <> [] then store_events := List.rev_append evs !store_events)
-      store
+    let evs = Store.tick store ~now_s:!now in
+    if evs <> [] then store_events := List.rev_append evs !store_events
   in
   let rec loop () =
     tick_autoscaler ();
     (* rotations due at-or-before [now] start (or, drained, complete)
        before this instant's arrivals lease their epochs *)
     tick_store ();
+    List.iter (fun fn -> Engine.maybe_close fn.fn_engine ~now_s:!now) !nodes;
     admit_due ();
     List.iter (fun fn -> Engine.shed_expired fn.fn_engine ~now_s:!now) !nodes;
     List.iter (fun fn -> Engine.observe_depth fn.fn_engine) (active ());
     dispatch ();
-    if List.exists (fun fn -> Engine.wants_dispatch fn.fn_engine) !nodes then loop ()
+    if List.exists (fun fn -> Engine.wants_dispatch fn.fn_engine) !nodes then
+      (* a permanently failed dispatch freed a worker with work still
+         queued: dispatch again before advancing the clock *)
+      loop ()
     else begin
       reap_drained ();
       let next_arrival =
@@ -423,38 +422,29 @@ let run ?pool config ~make_node ~arrivals () =
   in
   loop ();
   let everyone = !retired @ !nodes in
-  let key_hits = List.fold_left (fun acc fn -> acc + Key_cache.hits fn.fn_keys) 0 everyone
-  and key_misses = List.fold_left (fun acc fn -> acc + Key_cache.misses fn.fn_keys) 0 everyone in
+  let sum f = List.fold_left (fun acc fn -> acc + f fn.fn_keys) 0 everyone in
   {
     fr_slo = Slo.merge (router_slo :: List.map (fun fn -> Engine.slo fn.fn_engine) everyone);
     fr_makespan_s = !now;
     fr_router = Router.decisions router;
-    fr_key_hits = key_hits;
-    fr_key_misses = key_misses;
+    fr_key_hits = sum Key_cache.hits;
+    fr_key_misses = sum Key_cache.misses;
     fr_events = (match scaler with None -> [] | Some sc -> Autoscaler.events sc);
     fr_nodes_peak = !nodes_peak;
     fr_nodes_final = List.length (active ());
     fr_responses = List.rev !responses;
     fr_tenants =
-      Option.map
-        (fun st ->
-          let loaded =
-            List.fold_left (fun acc fn -> acc + Key_cache.loaded_bytes fn.fn_keys) 0 everyone
-          in
-          let cold =
-            Hashtbl.fold (fun tid ms acc -> (tid, ms) :: acc) cold_start []
-            |> List.sort (fun (a, _) (b, _) -> compare a b)
-          in
-          {
-            tr_store = Store.stats st;
-            tr_key_penalty_s = !key_penalty_s;
-            tr_transcipher_s = !transcipher_s;
-            tr_base_service_s = !base_service_s;
-            tr_key_bytes_loaded = loaded;
-            tr_upload_sym_bytes = !upload_sym;
-            tr_upload_ckks_bytes = !upload_ckks;
-            tr_cold_start_ms = cold;
-            tr_events = List.rev !store_events;
-          })
-        store;
+      {
+        tr_store = Store.stats store;
+        tr_key_penalty_s = !key_penalty_s;
+        tr_transcipher_s = !transcipher_s;
+        tr_base_service_s = !base_service_s;
+        tr_key_bytes_loaded = sum Key_cache.loaded_bytes;
+        tr_upload_sym_bytes = !upload_sym;
+        tr_upload_ckks_bytes = !upload_ckks;
+        tr_cold_start_ms =
+          Hashtbl.fold (fun tid ms acc -> (tid, ms) :: acc) cold_start []
+          |> List.sort (fun (a, _) (b, _) -> compare a b);
+        tr_events = List.rev !store_events;
+      };
   }

@@ -15,6 +15,10 @@
    warm-key HBM-load penalty is [fb_key_load_factor] x mean service —
    tied to the calibrated workload, not wall-clock guesses.
 
+   Every run is one tenant whose key set fits [fb_key_slots] times into
+   a node's key budget, so each node keeps that many programs' keys
+   warm.
+
    The autoscaler demo starts one node under the same traces with the
    offered rate sized for half the sweep's largest fleet, and reports
    the scaling events (time, direction, node count, reason).
@@ -117,13 +121,6 @@ let shape_of_kind ~rate ~requests = function
 
 let kind_name = function `Poisson -> "poisson" | `Diurnal -> "diurnal"
 
-let report_of ~fleet_result ~stats0 ~stats1 =
-  let open Exec.Result_cache in
-  Slo.report fleet_result.Fleet.fr_slo
-    ~duration_s:(Float.max fleet_result.Fleet.fr_makespan_s 1e-9)
-    ~compiles:(stats1.misses - stats0.misses)
-    ~cache_hits:(stats1.hits + stats1.disk_hits - stats0.hits - stats0.disk_hits)
-
 let run cfg =
   if cfg.fb_nodes = [] then Error.fail Error.Invalid_input "Fleet_bench: fb_nodes must be non-empty";
   List.iter
@@ -131,18 +128,20 @@ let run cfg =
     cfg.fb_nodes;
   if cfg.fb_requests < 1 then Error.fail Error.Invalid_input "Fleet_bench: requests must be >= 1";
   if cfg.fb_overload <= 0.0 then Error.fail Error.Invalid_input "Fleet_bench: overload must be > 0";
+  if cfg.fb_key_slots < 1 then Error.fail Error.Invalid_input "Fleet_bench: key_slots must be >= 1";
   if cfg.fb_key_load_factor < 0.0 then
     Error.fail Error.Invalid_input "Fleet_bench: key_load_factor must be >= 0";
   let pool = Exec.Pool.create ~jobs:cfg.fb_jobs () in
   Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) @@ fun () ->
   let calibrated = Loadgen.calibrate ~pool ~compile:cfg.fb_compile cfg.fb_mix in
-  let total_weight =
-    List.fold_left (fun acc (c, _) -> acc +. c.Loadgen.cls_weight) 0.0 calibrated
+  let mean_service = Loadgen.mean_service calibrated in
+  (* one default tenant whose key set fits [fb_key_slots] times into
+     each node's budget: the key caches hold that many programs *)
+  let tenancy =
+    Fleet.default_tenancy ~key_sets:cfg.fb_key_slots
+      ~key_load_s:(cfg.fb_key_load_factor *. mean_service)
+      cfg.fb_compile
   in
-  let mean_service =
-    List.fold_left (fun acc (c, s) -> acc +. (c.Loadgen.cls_weight /. total_weight *. s)) 0.0 calibrated
-  in
-  let key_load_s = cfg.fb_key_load_factor *. mean_service in
   let rate_for nodes =
     cfg.fb_overload *. Float.of_int (nodes * cfg.fb_capacity.Node.workers) /. mean_service
   in
@@ -170,17 +169,14 @@ let run cfg =
       {
         Fleet.fc_nodes = nodes;
         fc_policy = policy;
-        fc_key_slots = cfg.fb_key_slots;
-        fc_key_load_s = key_load_s;
         fc_autoscale = None;
         fc_collect_responses = false;
-        fc_tenancy = None;
+        fc_tenancy = tenancy;
       }
     in
-    let stats0 = Exec.Result_cache.stats () in
+    let since = Exec.Result_cache.stats () in
     let fr = Fleet.run ~pool fleet_cfg ~make_node ~arrivals () in
-    let stats1 = Exec.Result_cache.stats () in
-    let report = report_of ~fleet_result:fr ~stats0 ~stats1 in
+    let report = Loadgen.report fr.Fleet.fr_slo ~makespan_s:fr.Fleet.fr_makespan_s ~since in
     {
       pt_policy = Router.policy_name policy;
       pt_shape = kind_name kind;
@@ -226,20 +222,17 @@ let run cfg =
             {
               Fleet.fc_nodes = 1;
               fc_policy = Router.Least_loaded;
-              fc_key_slots = cfg.fb_key_slots;
-              fc_key_load_s = key_load_s;
               fc_autoscale =
                 Some { Autoscaler.default with as_min_nodes = 1; as_max_nodes = max_nodes };
               fc_collect_responses = false;
-              fc_tenancy = None;
+              fc_tenancy = tenancy;
             }
           in
-          let stats0 = Exec.Result_cache.stats () in
+          let since = Exec.Result_cache.stats () in
           let fr = Fleet.run ~pool fleet_cfg ~make_node ~arrivals () in
-          let stats1 = Exec.Result_cache.stats () in
           {
             sd_shape = kind_name kind;
-            sd_report = report_of ~fleet_result:fr ~stats0 ~stats1;
+            sd_report = Loadgen.report fr.Fleet.fr_slo ~makespan_s:fr.Fleet.fr_makespan_s ~since;
             sd_events = fr.Fleet.fr_events;
             sd_nodes_peak = fr.Fleet.fr_nodes_peak;
             sd_nodes_final = fr.Fleet.fr_nodes_final;
@@ -249,10 +242,7 @@ let run cfg =
   {
     fbr_points = points;
     fbr_demos = demos;
-    fbr_base_service =
-      List.map
-        (fun (c, s) -> (Printf.sprintf "%s@%s" c.Loadgen.cls_bench c.Loadgen.cls_system, s))
-      calibrated;
+    fbr_base_service = List.map (fun (c, s) -> (Loadgen.class_name c, s)) calibrated;
     fbr_requests = cfg.fb_requests;
     fbr_jobs = cfg.fb_jobs;
   }
@@ -346,32 +336,5 @@ let print_result r =
         d.sd_events)
     r.fbr_demos
 
-(* Merge this run's result into BENCH_cinnamon.json under
-   ["serve_fleet"], preserving every other key in the file (the bench
-   harness owns the rest of the schema). *)
 let write_section ~file r =
-  let existing =
-    if Sys.file_exists file then
-      try
-        let ic = open_in_bin file in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        match Json.of_string s with Ok (Json.Obj kvs) -> kvs | _ -> []
-      with _ -> []
-    else []
-  in
-  let existing =
-    if List.mem_assoc "schema" existing then existing
-    else ("schema", Json.Str "cinnamon-bench-v1") :: existing
-  in
-  let merged = ("serve_fleet", result_json r) :: List.remove_assoc "serve_fleet" existing in
-  let merged =
-    match List.assoc_opt "schema" merged with
-    | Some s -> ("schema", s) :: List.remove_assoc "schema" merged
-    | None -> merged
-  in
-  let oc = open_out file in
-  output_string oc (Json.to_string (Json.Obj merged));
-  output_char oc '\n';
-  close_out oc
+  Exec.Bench_file.merge_section ~file "serve_fleet" (fun _ -> result_json r)

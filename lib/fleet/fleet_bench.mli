@@ -19,7 +19,7 @@ type config = {
   fb_overload : float;  (** offered load / fleet capacity *)
   fb_deadline_factor : float;
   fb_capacity : Cinnamon_serve.Node.capacity;
-  fb_key_slots : int;
+  fb_key_slots : int;  (** per-node key budget, in key sets (one per program) *)
   fb_key_load_factor : float;  (** key-load penalty = factor x mean service *)
   fb_autoscale : bool;
   fb_compile : Cinnamon_compiler.Compile_config.t;
@@ -72,5 +72,6 @@ val run : config -> result
 val result_json : result -> Cinnamon_util.Json.t
 val print_result : result -> unit
 
-(** Merge into [file] under ["serve_fleet"], preserving other keys. *)
+(** Merge into [file] under ["serve_fleet"], keeping every other key
+    (see {!Cinnamon_exec.Bench_file}). *)
 val write_section : file:string -> result -> unit

@@ -58,12 +58,6 @@ let create ~capacity_bytes =
   if capacity_bytes < 1 then invalid_arg "Key_cache.create: capacity_bytes must be >= 1";
   { capacity_bytes; resident = []; hits = 0; misses = 0; loaded_bytes = 0; evictions = 0 }
 
-(* Legacy unit-weight mode: [slots] entries of one byte each — the
-   original slot-counted MRU semantics, byte-for-byte. *)
-let create_slots ~slots =
-  if slots < 1 then invalid_arg "Key_cache.create_slots: slots must be >= 1";
-  create ~capacity_bytes:slots
-
 let resident_bytes t = List.fold_left (fun acc (_, b) -> acc + b) 0 t.resident
 
 (* Peek for routing decisions: no promotion, no counter movement — the

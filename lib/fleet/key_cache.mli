@@ -23,10 +23,6 @@ type t
 (** Raises [Invalid_argument] if [capacity_bytes < 1]. *)
 val create : capacity_bytes:int -> t
 
-(** Legacy unit-weight mode: [slots] one-byte entries — the original
-    slot-counted MRU semantics.  Raises if [slots < 1]. *)
-val create_slots : slots:int -> t
-
 (** Residency peek for routing: no promotion, no counters. *)
 val mem : t -> entry -> bool
 

@@ -10,10 +10,10 @@
    Round_robin scatters tenants and re-streams their multi-GB key sets.
 
    Modeled costs are tied to calibrated service times, not wall-clock
-   guesses: a fully cold key-set load costs [tb_key_load_factor] x the
-   mean calibrated service time (scaled per GB actually streamed), and
-   the ingress charge per request is the measured simulated seconds of
-   the K_transcipher conversion circuit itself.  The tenant rotation
+   guesses: a cold key-set load costs [tb_key_load_factor] x the mean
+   calibrated service time, and the ingress charge per request is the
+   measured simulated seconds of the K_transcipher conversion circuit
+   itself.  The tenant rotation
    period is the estimated trace duration / [tb_rotation_periods], so
    rotations start, drain and complete while requests are in flight.
 
@@ -121,13 +121,6 @@ let percentile_ms q = function
     let idx = int_of_float (Float.ceil (q *. Float.of_int n)) - 1 in
     a.(max 0 (min (n - 1) idx))
 
-let report_of ~fleet_result ~stats0 ~stats1 =
-  let open Exec.Result_cache in
-  Slo.report fleet_result.Fleet.fr_slo
-    ~duration_s:(Float.max fleet_result.Fleet.fr_makespan_s 1e-9)
-    ~compiles:(stats1.misses - stats0.misses)
-    ~cache_hits:(stats1.hits + stats1.disk_hits - stats0.hits - stats0.disk_hits)
-
 let run cfg =
   if cfg.tb_nodes < 1 then Error.fail Error.Invalid_input "Tenant_bench: nodes must be >= 1";
   if cfg.tb_tenants < 2 then Error.fail Error.Invalid_input "Tenant_bench: tenants must be >= 2";
@@ -157,14 +150,7 @@ let run cfg =
     | [ (_, s) ] -> s
     | _ -> assert false
   in
-  let total_weight =
-    List.fold_left (fun acc (c, _) -> acc +. c.Loadgen.cls_weight) 0.0 calibrated
-  in
-  let mean_service =
-    List.fold_left
-      (fun acc (c, s) -> acc +. (c.Loadgen.cls_weight /. total_weight *. s))
-      0.0 calibrated
-  in
+  let mean_service = Loadgen.mean_service calibrated in
   let rate =
     cfg.tb_overload *. Float.of_int (cfg.tb_nodes * cfg.tb_capacity.Node.workers) /. mean_service
   in
@@ -188,7 +174,10 @@ let run cfg =
         };
       tn_key_capacity_bytes =
         max 1 (int_of_float (cfg.tb_key_capacity_sets *. Float.of_int set_bytes));
-      tn_key_load_s_per_gb = cfg.tb_key_load_factor *. mean_service /. set_gb;
+      (* one cold load of a whole set: the per-GB rate that prices a
+         set at [tb_key_load_factor] x mean service, times its bytes *)
+      tn_key_load_s =
+        cfg.tb_key_load_factor *. mean_service /. set_gb *. Float.of_int set_bytes /. 1e9;
       tn_transcipher_s = transcipher_s;
       tn_upload = Transcipher.upload_of_config cfg.tb_compile;
     }
@@ -215,23 +204,20 @@ let run cfg =
       {
         Fleet.fc_nodes = cfg.tb_nodes;
         fc_policy = policy;
-        fc_key_slots = 1; (* unused: tenancy switches the caches to byte weighting *)
-        fc_key_load_s = 0.0;
         fc_autoscale = None;
         fc_collect_responses = false;
-        fc_tenancy = Some tenancy;
+        fc_tenancy = tenancy;
       }
     in
-    let stats0 = Exec.Result_cache.stats () in
+    let since = Exec.Result_cache.stats () in
     let fr = Fleet.run ~pool fleet_cfg ~make_node ~arrivals () in
-    let stats1 = Exec.Result_cache.stats () in
-    let tr = Option.get fr.Fleet.fr_tenants in
+    let tr = fr.Fleet.fr_tenants in
     let total_charged =
       tr.Fleet.tr_base_service_s +. tr.Fleet.tr_key_penalty_s +. tr.Fleet.tr_transcipher_s
     in
     {
       tp_policy = Router.policy_name policy;
-      tp_report = report_of ~fleet_result:fr ~stats0 ~stats1;
+      tp_report = Loadgen.report fr.Fleet.fr_slo ~makespan_s:fr.Fleet.fr_makespan_s ~since;
       tp_key_hit_rate = Fleet.key_hit_rate fr;
       tp_key_penalty_share =
         (if total_charged > 0.0 then tr.Fleet.tr_key_penalty_s /. total_charged else 0.0);
@@ -323,31 +309,5 @@ let print_result r =
     r.tbr_points;
   Printf.printf "locality hit-rate gain over round-robin: %+.1f%%\n" (100.0 *. r.tbr_locality_gain)
 
-(* Merge this run's result into BENCH_cinnamon.json under
-   ["tenant_serving"], preserving every other key in the file. *)
 let write_section ~file r =
-  let existing =
-    if Sys.file_exists file then
-      try
-        let ic = open_in_bin file in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        match Json.of_string s with Ok (Json.Obj kvs) -> kvs | _ -> []
-      with _ -> []
-    else []
-  in
-  let existing =
-    if List.mem_assoc "schema" existing then existing
-    else ("schema", Json.Str "cinnamon-bench-v1") :: existing
-  in
-  let merged = ("tenant_serving", result_json r) :: List.remove_assoc "tenant_serving" existing in
-  let merged =
-    match List.assoc_opt "schema" merged with
-    | Some s -> ("schema", s) :: List.remove_assoc "schema" merged
-    | None -> merged
-  in
-  let oc = open_out file in
-  output_string oc (Json.to_string (Json.Obj merged));
-  output_char oc '\n';
-  close_out oc
+  Exec.Bench_file.merge_section ~file "tenant_serving" (fun _ -> result_json r)

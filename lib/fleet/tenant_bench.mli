@@ -73,5 +73,6 @@ val run : config -> result
 val result_json : result -> Cinnamon_util.Json.t
 val print_result : result -> unit
 
-(** Merge into [file] under ["tenant_serving"], preserving other keys. *)
+(** Merge into [file] under ["tenant_serving"], keeping every other key
+    (see {!Cinnamon_exec.Bench_file}). *)
 val write_section : file:string -> result -> unit

@@ -21,7 +21,7 @@ let error_to_string = function
     Printf.sprintf "deadline %.6fs already expired at admission (now %.6fs)" deadline_s now_s
   | Closed -> "server draining: admission closed"
   | Fleet_full { nodes } ->
-    Printf.sprintf "fleet backpressure: all %d nodes at capacity" nodes
+    Printf.sprintf "fleet backpressure: %d active nodes" nodes
   | Tenant_unavailable { tenant; reason } ->
     Printf.sprintf "tenant %s unavailable: %s" (Cinnamon_tenant.Tenant_id.to_string tenant) reason
 

@@ -9,8 +9,9 @@ type error =
       (** the deadline had already passed on arrival *)
   | Closed  (** the server is draining; no new admissions *)
   | Fleet_full of { nodes : int }
-      (** global backpressure: a fleet router found every node at
-          capacity (never produced by a single queue's {!admit}) *)
+      (** the fleet had no active node to offer the request to (a full
+          or closed node refuses with its own reason); never produced
+          by a single queue's {!admit} *)
   | Tenant_unavailable of { tenant : Cinnamon_tenant.Tenant_id.t; reason : string }
       (** the tenant key store refused to lease keys for this request
           (retired tenant, destroyed epoch); produced by the fleet's

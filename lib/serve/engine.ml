@@ -3,8 +3,8 @@
    ONE node, exposed as incremental steps on a caller-owned virtual
    clock.
 
-   Server.run drives a single engine to completion; Fleet.run drives N
-   of them from one loop, which is why this is step-at-a-time rather
+   Fleet.run, the one serving loop, drives N of them (one for a
+   single-node server), which is why this is step-at-a-time rather
    than run-to-completion: at each virtual instant the fleet forms
    batches on every node ([form_batches]), fans ALL of them across one
    shared Exec.Pool ([execute] is pool-safe — it touches no engine

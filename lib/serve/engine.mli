@@ -3,10 +3,9 @@
 
     One engine owns one node's admission queue, batch formation,
     executor retries, simulated-worker occupancy, and SLO accumulator.
-    {!Server.run} drives a single engine to completion; the fleet
-    driver steps N of them from one loop, fanning every node's batches
-    across one shared pool at each virtual instant ({!execute} is
-    pool-safe).  Terminal responses stream through the [respond]
+    The fleet driver ([Cinnamon_fleet.Fleet.run], the one serving
+    loop) steps N of them, fanning every node's batches across one
+    shared pool at each virtual instant ({!execute} is pool-safe).  Terminal responses stream through the [respond]
     callback — the engine retains none of them. *)
 
 (** Trace pid used for serving-layer telemetry rows. *)

@@ -1,80 +1,21 @@
-(* Load generation against the virtual-time server.
+(* Workload classes and their calibration, shared by the load tests
+   over the serving layer: the single-node load test, the fleet sweep
+   and the multi-tenant bench (all in Cinnamon_fleet).
 
-   Two client models:
-   - Open loop: Poisson arrivals at a rate derived from the measured
-     service time of the request mix — [overload] = offered load as a
-     multiple of the server's aggregate service capacity, so
-     overload > 1 provokes queueing, shedding and backpressure
-     regardless of how fast the simulator happens to be for the
-     chosen workloads.
-   - Closed loop: [clients] concurrent clients, each issuing its next
-     request one think time after its previous request reaches a
-     terminal state (via the server's feedback hook).
-
-   The generator self-calibrates: before the run it executes each
-   workload class once (through the Result_cache, which also pre-warms
-   the compile the serving run will hit) and uses the measured
-   simulated seconds as that class's base service time for rate and
-   deadline scaling.  This keeps quick-mode presets meaningful even as
-   the simulator's timing model evolves. *)
+   Load tests self-calibrate: before a run they execute each workload
+   class once (through the Result_cache, which also pre-warms the
+   compile the serving run will hit) and use the measured simulated
+   seconds as that class's base service time for rate and deadline
+   scaling.  This keeps quick-mode presets meaningful even as the
+   simulator's timing model evolves. *)
 
 module CC = Cinnamon_compiler.Compile_config
 module Error = Cinnamon_util.Error
-module Rng = Cinnamon_util.Rng
-module Json = Cinnamon_util.Json
 module Exec = Cinnamon_exec
 module Runner = Cinnamon_workloads.Runner
 module Specs = Cinnamon_workloads.Specs
 
 type class_spec = { cls_bench : string; cls_system : string; cls_weight : float }
-
-type mode =
-  | Open_loop of { overload : float }
-  | Closed_loop of { clients : int; think_factor : float }
-
-type config = {
-  lg_mode : mode;
-  lg_requests : int;
-  lg_mix : class_spec list;
-  lg_seed : int;
-  lg_deadline_factor : float; (* deadline = arrival + factor * class service *)
-  lg_capacity : Node.capacity;
-  lg_compile : CC.t;
-  lg_jobs : int; (* real pool workers; 0 = recommended *)
-}
-
-let quick =
-  {
-    lg_mode = Open_loop { overload = 4.0 };
-    lg_requests = 80;
-    lg_mix = [ { cls_bench = "bootstrap"; cls_system = "cinnamon-4"; cls_weight = 1.0 } ];
-    lg_seed = 42;
-    lg_deadline_factor = 3.0;
-    lg_capacity =
-      { Node.workers = 2; queue_capacity = 12; max_batch = 4; max_attempts = 3; drain_after_s = None };
-    lg_compile = CC.paper ();
-    lg_jobs = 0;
-  }
-
-let default =
-  {
-    quick with
-    lg_requests = 300;
-    lg_mix =
-      [
-        { cls_bench = "bootstrap"; cls_system = "cinnamon-4"; cls_weight = 0.7 };
-        { cls_bench = "resnet"; cls_system = "cinnamon-4"; cls_weight = 0.3 };
-      ];
-  }
-
-type result = {
-  lr_mode : string; (* "open_loop" | "closed_loop" *)
-  lr_rate_rps : float; (* offered rate (open loop) or clients/think-derived *)
-  lr_base_service : (string * float) list; (* "bench@system" -> calibrated s *)
-  lr_report : Slo.report;
-}
-
-let mode_name = function Open_loop _ -> "open_loop" | Closed_loop _ -> "closed_loop"
 
 (* Resolve a class to registry entries, failing fast with the
    registry's own unknown-name message. *)
@@ -122,159 +63,16 @@ let calibrate ~pool ~compile mix =
       (cls, r.Runner.br_seconds))
     classes
 
-let run cfg =
-  if cfg.lg_requests < 1 then Error.fail Error.Invalid_input "Loadgen.run: lg_requests must be >= 1";
-  if cfg.lg_mix = [] then Error.fail Error.Invalid_input "Loadgen.run: lg_mix must be non-empty";
-  if cfg.lg_deadline_factor <= 0.0 then
-    Error.fail Error.Invalid_input "Loadgen.run: lg_deadline_factor must be > 0";
-  List.iter
-    (fun c ->
-      if c.cls_weight <= 0.0 || Float.is_nan c.cls_weight then
-        Error.fail Error.Invalid_input "Loadgen.run: class weights must be > 0")
-    cfg.lg_mix;
-  (match cfg.lg_mode with
-  | Open_loop { overload } ->
-    if overload <= 0.0 then Error.fail Error.Invalid_input "Loadgen.run: overload must be > 0"
-  | Closed_loop { clients; think_factor } ->
-    if clients < 1 then Error.fail Error.Invalid_input "Loadgen.run: clients must be >= 1";
-    if think_factor < 0.0 then Error.fail Error.Invalid_input "Loadgen.run: think_factor must be >= 0");
-  let pool = Exec.Pool.create ~jobs:cfg.lg_jobs () in
-  Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) @@ fun () ->
-  let stats0 = Exec.Result_cache.stats () in
-  let calibrated = calibrate ~pool ~compile:cfg.lg_compile cfg.lg_mix in
+let mean_service calibrated =
   let total_weight = List.fold_left (fun acc (c, _) -> acc +. c.cls_weight) 0.0 calibrated in
-  let mean_service =
-    List.fold_left (fun acc (c, s) -> acc +. (c.cls_weight /. total_weight *. s)) 0.0 calibrated
-  in
-  let rng = Rng.create ~seed:cfg.lg_seed in
-  let pick_class () =
-    let u = Rng.float rng *. total_weight in
-    let rec go acc = function
-      | [] -> List.hd calibrated (* unreachable: weights sum to total *)
-      | (c, s) :: rest -> if acc +. c.cls_weight >= u then (c, s) else go (acc +. c.cls_weight) rest
-    in
-    go 0.0 calibrated
-  in
-  let pick_priority () =
-    let u = Rng.float rng in
-    if u < 0.1 then Request.High else if u < 0.9 then Request.Normal else Request.Low
-  in
-  let mk_request ~id ~arrival_s =
-    let cls, service_s = pick_class () in
-    Request.make ~config:cfg.lg_compile
-      ~priority:(pick_priority ())
-      ~deadline_s:(arrival_s +. (cfg.lg_deadline_factor *. service_s))
-      ~id ~bench:cls.cls_bench ~system:cls.cls_system ~arrival_s ()
-  in
-  let offered_rate, arrivals, feedback =
-    match cfg.lg_mode with
-    | Open_loop { overload } ->
-      (* rate such that offered work = overload x server capacity *)
-      let rate = overload *. Float.of_int cfg.lg_capacity.Node.workers /. mean_service in
-      let t = ref 0.0 in
-      let arrivals =
-        List.init cfg.lg_requests (fun id ->
-            let r = mk_request ~id ~arrival_s:!t in
-            t := !t +. (-.log (1.0 -. Rng.float rng) /. rate);
-            r)
-      in
-      (rate, arrivals, None)
-    | Closed_loop { clients; think_factor } ->
-      let think = think_factor *. mean_service in
-      let issued = ref 0 in
-      let next_id () =
-        let id = !issued in
-        incr issued;
-        id
-      in
-      let initial =
-        List.init (min clients cfg.lg_requests) (fun _ ->
-            mk_request ~id:(next_id ()) ~arrival_s:0.0)
-      in
-      let feedback (resp : Response.t) =
-        if !issued >= cfg.lg_requests then []
-        else
-          [ mk_request ~id:(next_id ()) ~arrival_s:(Response.terminal_s resp +. think) ]
-      in
-      (* nominal per-client rate, for the report only *)
-      let rate = Float.of_int clients /. (mean_service +. think) in
-      (rate, initial, Some feedback)
-  in
-  (* Loadgen implements the Node interface: the real workload executor
-     plus (for closed loops) the think-time feedback hook. *)
-  let node =
-    Node.make ~name:"loadgen" ?on_terminal:feedback ~capacity:cfg.lg_capacity
-      ~execute:workload_executor ()
-  in
-  let server_result = Server.run ~pool node ~arrivals () in
-  let stats1 = Exec.Result_cache.stats () in
-  let report =
-    Slo.report server_result.Server.slo
-      ~duration_s:(Float.max server_result.Server.makespan_s 1e-9)
-      ~compiles:(stats1.Exec.Result_cache.misses - stats0.Exec.Result_cache.misses)
-      ~cache_hits:
-        (stats1.Exec.Result_cache.hits + stats1.Exec.Result_cache.disk_hits
-        - stats0.Exec.Result_cache.hits - stats0.Exec.Result_cache.disk_hits)
-  in
-  {
-    lr_mode = mode_name cfg.lg_mode;
-    lr_rate_rps = offered_rate;
-    lr_base_service =
-      List.map (fun (c, s) -> (Printf.sprintf "%s@%s" c.cls_bench c.cls_system, s)) calibrated;
-    lr_report = report;
-  }
+  List.fold_left (fun acc (c, s) -> acc +. (c.cls_weight /. total_weight *. s)) 0.0 calibrated
 
-let result_json r =
-  Json.Obj
-    [
-      ("mode", Json.Str r.lr_mode);
-      ("offered_rate_rps", Json.Float r.lr_rate_rps);
-      ("base_service_s", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) r.lr_base_service));
-      ("slo", Slo.report_json r.lr_report);
-    ]
+let class_name c = Printf.sprintf "%s@%s" c.cls_bench c.cls_system
 
-let print_result r =
-  Printf.printf "mode: %s, offered rate %.2f req/s\n" r.lr_mode r.lr_rate_rps;
-  List.iter
-    (fun (k, v) -> Printf.printf "base service %-28s %.4f s\n" k v)
-    r.lr_base_service;
-  Slo.print r.lr_report
-
-(* Merge this run's result into BENCH_cinnamon.json under
-   ["serve_loadtest"][mode], preserving every other key in the file
-   (the bench harness owns the rest of the schema). *)
-let write_section ~file r =
-  let existing =
-    if Sys.file_exists file then
-      try
-        let ic = open_in_bin file in
-        let n = in_channel_length ic in
-        let s = really_input_string ic n in
-        close_in ic;
-        match Json.of_string s with Ok (Json.Obj kvs) -> kvs | _ -> []
-      with _ -> []
-    else []
-  in
-  let existing =
-    if List.mem_assoc "schema" existing then existing
-    else ("schema", Json.Str "cinnamon-bench-v1") :: existing
-  in
-  let section =
-    match List.assoc_opt "serve_loadtest" existing with
-    | Some (Json.Obj kvs) -> kvs
-    | _ -> []
-  in
-  let section = (r.lr_mode, result_json r) :: List.remove_assoc r.lr_mode section in
-  let merged =
-    ("serve_loadtest", Json.Obj section) :: List.remove_assoc "serve_loadtest" existing
-  in
-  (* keep original key order where possible: schema first *)
-  let merged =
-    match List.assoc_opt "schema" merged with
-    | Some s -> ("schema", s) :: List.remove_assoc "schema" merged
-    | None -> merged
-  in
-  let oc = open_out file in
-  output_string oc (Json.to_string (Json.Obj merged));
-  output_char oc '\n';
-  close_out oc
+let report slo ~makespan_s ~since =
+  let open Exec.Result_cache in
+  let now = stats () in
+  Slo.report slo
+    ~duration_s:(Float.max makespan_s 1e-9)
+    ~compiles:(now.misses - since.misses)
+    ~cache_hits:(now.hits + now.disk_hits - since.hits - since.disk_hits)

@@ -1,7 +1,9 @@
-(** Load generation against the virtual-time server.
+(** Workload classes and their calibration, shared by every load test
+    over the serving layer (the single-node load test, the fleet sweep
+    and the multi-tenant bench in [Cinnamon_fleet]).
 
-    The generator {e self-calibrates}: each workload class in the mix
-    is run once up front (through the result cache, pre-warming the
+    Load tests {e self-calibrate}: each workload class in the mix is
+    run once up front (through the result cache, pre-warming the
     compiles the serving run will hit) and its measured simulated
     seconds become the base service time used for arrival-rate and
     deadline scaling — so presets keep provoking the intended
@@ -16,49 +18,10 @@ type class_spec = {
   cls_weight : float;  (** > 0; mix is weight-proportional *)
 }
 
-type mode =
-  | Open_loop of { overload : float }
-      (** Poisson arrivals at [overload] x the server's aggregate
-          service capacity ([workers / mean service time]) — [> 1]
-          provokes queueing and shedding *)
-  | Closed_loop of { clients : int; think_factor : float }
-      (** each client issues its next request one think time
-          ([think_factor] x mean service) after its previous request
-          reaches a terminal state *)
-
-type config = {
-  lg_mode : mode;
-  lg_requests : int;  (** total requests to issue *)
-  lg_mix : class_spec list;
-  lg_seed : int;  (** all randomness (arrivals, mix, priorities) *)
-  lg_deadline_factor : float;
-      (** deadline = arrival + factor x class base service time *)
-  lg_capacity : Node.capacity;
-  lg_compile : CC.t;
-  lg_jobs : int;  (** real pool workers; 0 = recommended count *)
-}
-
-(** 80 bootstrap\@cinnamon-4 requests, open loop at 4x overload against
-    2 workers / capacity 12 / max batch 4 — finishes in seconds, still
-    exercises queueing, batching and shedding. *)
-val quick : config
-
-(** 300 requests, 70/30 bootstrap/resnet mix, otherwise {!quick}. *)
-val default : config
-
-type result = {
-  lr_mode : string;  (** "open_loop" or "closed_loop" *)
-  lr_rate_rps : float;  (** offered (open) or nominal (closed) rate *)
-  lr_base_service : (string * float) list;
-      (** ["bench\@system"] → calibrated service seconds *)
-  lr_report : Slo.report;
-}
-
 (** The production [Node.execute]: resolve the head request's workload
     and charge the batch one real compile + simulation (all requests
     in a batch share the batcher's compatibility key, so one run
-    amortizes over the whole batch).  The fleet layer builds its nodes
-    from this. *)
+    amortizes over the whole batch). *)
 val workload_executor : now_s:float -> Batcher.batch -> float
 
 (** Run each class once (through the result cache, pre-warming the
@@ -68,16 +31,12 @@ val workload_executor : now_s:float -> Batcher.batch -> float
 val calibrate :
   pool:Cinnamon_exec.Pool.t -> compile:CC.t -> class_spec list -> (class_spec * float) list
 
-(** Generate the arrival stream, play it through {!Server.run} against
-    a node built from {!workload_executor}, and report.  Raises
-    [Invalid_argument] on an empty mix, non-positive weights, counts
-    or factors, and on workload names missing from the registries. *)
-val run : config -> result
+(** Weight-averaged base service seconds of a calibrated mix. *)
+val mean_service : (class_spec * float) list -> float
 
-val result_json : result -> Cinnamon_util.Json.t
-val print_result : result -> unit
+(** ["bench\@system"], the key reports file calibrated seconds under. *)
+val class_name : class_spec -> string
 
-(** Merge this result into [file] (the [BENCH_cinnamon.json] perf
-    artifact) under ["serve_loadtest"][mode], preserving all other
-    keys and inserting the schema tag when creating the file fresh. *)
-val write_section : file:string -> result -> unit
+(** The SLO report of a finished run, with the compiles and cache hits
+    the result cache counted since [since]. *)
+val report : Slo.t -> makespan_s:float -> since:Cinnamon_exec.Result_cache.stats -> Slo.report

@@ -1,9 +1,7 @@
 (* A serving node as a first-class value: what it can do (execute a
-   batch, react to terminal responses) and how much of it there is
-   (capacity).  This replaces the loose [~executor] / [?feedback]
-   labelled arguments Server.run used to take — the single-node server
-   and the fleet router now drive heterogeneous nodes through the same
-   typed record.
+   batch) and how much of it there is (capacity).  The fleet driver
+   steps heterogeneous nodes through this one typed record; a
+   single-node server is a fleet of one.
 
    [execute] is the node's real work: compile + cycle-simulate the
    batch's workload (usually through Exec.Result_cache) and return its
@@ -11,13 +9,7 @@
    must not touch node-local mutable state.  Raising [Transient]
    signals a retryable hiccup (the scheduler re-runs the batch in
    place, up to [capacity.max_attempts] total attempts); any other
-   exception fails the batch permanently.
-
-   [on_terminal] fires for every terminal response of a request this
-   node owned and returns follow-up requests to inject — closed-loop
-   clients use it to model think time.  The follow-ups go back to
-   whoever is routing (the single-node driver's pending list, or the
-   fleet router), not straight into this node's queue. *)
+   exception fails the batch permanently. *)
 
 module Error = Cinnamon_util.Error
 
@@ -37,7 +29,6 @@ let default_capacity =
 type t = {
   name : string;
   execute : now_s:float -> Batcher.batch -> float;
-  on_terminal : Response.t -> Request.t list;
   capacity : capacity;
 }
 
@@ -47,6 +38,6 @@ let validate_capacity c =
   if c.max_batch < 1 then Error.fail Error.Invalid_input "Node: max_batch must be >= 1";
   if c.max_attempts < 1 then Error.fail Error.Invalid_input "Node: max_attempts must be >= 1"
 
-let make ?(name = "node") ?(on_terminal = fun _ -> []) ?(capacity = default_capacity) ~execute () =
+let make ?(name = "node") ?(capacity = default_capacity) ~execute () =
   validate_capacity capacity;
-  { name; execute; on_terminal; capacity }
+  { name; execute; capacity }

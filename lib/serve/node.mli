@@ -1,11 +1,11 @@
 (** A serving node as a first-class value.
 
-    The typed record every scheduler-facing component implements:
-    {!Loadgen} wraps the real compile+simulate executor in one, tests
-    build synthetic ones, and the fleet router drives heterogeneous
-    nodes through this one interface.  It replaces the loose
-    [~executor] / [?feedback] labelled arguments [Server.run] used to
-    take. *)
+    The typed record every scheduler-facing component implements: the
+    load tests wrap the real compile+simulate executor
+    ({!Loadgen.workload_executor}) in one, tests build synthetic ones,
+    and the fleet driver steps heterogeneous nodes through this one
+    interface.  How clients react to responses belongs to the traffic,
+    not to a node: it is the fleet driver's [on_terminal]. *)
 
 (** Raised by {!t.execute} to signal a retryable failure; the
     scheduler re-runs the batch in place, up to
@@ -34,21 +34,16 @@ type t = {
       (** the node's real work: compile + simulate the batch and
           return its service time in virtual seconds; runs on pool
           workers, so it must not touch node-local mutable state *)
-  on_terminal : Response.t -> Request.t list;
-      (** terminal-response hook returning follow-up requests to
-          inject via the caller's routing, e.g. closed-loop think
-          time *)
   capacity : capacity;
 }
 
 (** Raises a typed [Invalid_input] error on a non-positive field. *)
 val validate_capacity : capacity -> unit
 
-(** [make ~execute ()] builds a node; [on_terminal] defaults to "no
-    follow-ups", [capacity] to {!default_capacity} (validated). *)
+(** [make ~execute ()] builds a node; [capacity] defaults to
+    {!default_capacity} (validated). *)
 val make :
   ?name:string ->
-  ?on_terminal:(Response.t -> Request.t list) ->
   ?capacity:capacity ->
   execute:(now_s:float -> Batcher.batch -> float) ->
   unit ->

@@ -21,13 +21,13 @@ type t = {
       (** whose key material serves this request *)
   req_epoch : Cinnamon_tenant.Epoch.t;
       (** key epoch bound at admission (the fleet stamps it from its
-          tenant key store; single-tenant runs stay at [Epoch.zero]) *)
+          tenant key store) *)
 }
 
 (** [config] defaults to [Compile_config.paper ()], [priority] to
     [Normal], [deadline_s] to [infinity], [tenant] to
-    [Tenant_id.default] and [epoch] to [Epoch.zero] (the single-tenant
-    legacy identity).  Raises [Invalid_argument] on a negative or nan
+    [Tenant_id.default] and [epoch] to [Epoch.zero] (until the fleet
+    stamps its leased epoch).  Raises [Invalid_argument] on a negative or nan
     arrival time. *)
 val make :
   ?config:Cinnamon_compiler.Compile_config.t ->

@@ -19,7 +19,7 @@
      serving metric: work delivered in time);
    - shed rate  = shed / admitted (admitted work the server gave up on);
    - reject rate = rejected / offered (work refused at the door,
-     whether by one node's queue or by fleet-wide backpressure). *)
+     whether by a node, the tenant key store, or an empty fleet). *)
 
 module H = Cinnamon_util.Stats.Histogram
 module Json = Cinnamon_util.Json

@@ -60,7 +60,7 @@ type report = {
   rp_rejected_full : int;
   rp_rejected_expired : int;
   rp_rejected_closed : int;
-  rp_rejected_fleet : int;  (** router-level global backpressure *)
+  rp_rejected_fleet : int;  (** the fleet had no active node *)
   rp_rejected_tenant : int;  (** tenant key store refused the lease *)
   rp_shed : int;
   rp_failed : int;

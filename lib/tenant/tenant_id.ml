@@ -4,8 +4,9 @@
    router decisions) carry this instead of a bare int so that a tenant
    id can never be confused with a node id, an epoch, or a request id —
    the indexed-table discipline of mitls-fstar's key stores, where the
-   index type is the only way to name a key.  [default] is the
-   single-tenant identity legacy callers get for free. *)
+   index type is the only way to name a key.  [default] is the tenant
+   a request belongs to unless it names one: single-tenant serving is
+   a key store that only ever sees it. *)
 
 type t = int
 

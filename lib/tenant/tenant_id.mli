@@ -6,7 +6,8 @@ type t
 (** Raises [Invalid_argument] on a negative id. *)
 val make : int -> t
 
-(** The single-tenant identity legacy (pre-tenancy) callers run as. *)
+(** The tenant of requests that name none; single-tenant serving runs
+    every request as it. *)
 val default : t
 
 val to_int : t -> int

@@ -1,6 +1,6 @@
 (* Typed diagnostics for every user-facing failure path.
 
-   Entry points (CLI subcommands, Loadgen/Server.run, the compile
+   Entry points (CLI subcommands, the serving loop and benches, the compile
    pipeline) raise [Error] with a kind instead of bare
    [Failure]/[Invalid_argument], so callers can react to the category —
    and the CLI maps each kind to a distinct process exit code under a

@@ -250,6 +250,50 @@ let test_json_rejects_garbage () =
       | Error _ -> ())
     [ "{"; "[1,]"; "nul"; "\"unterminated"; "{\"a\" 1}"; "1 2" ]
 
+(* ------------------------------------------------------------ bench file *)
+
+let with_temp_dir prefix f =
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "%s_%d" prefix (Unix.getpid ()))
+  in
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+let test_bench_file_merge () =
+  (* a section write keeps every other key, keeps "schema" first,
+     replaces only its own key, and leaves no temp file behind *)
+  with_temp_dir "cinnamon_test_bench" @@ fun dir ->
+  let file = Filename.concat dir "BENCH_cinnamon.json" in
+  let keys () =
+    match Json.of_string (In_channel.with_open_bin file In_channel.input_all) with
+    | Ok (Json.Obj kvs) -> List.map fst kvs
+    | _ -> Alcotest.fail "artifact is not a JSON object"
+  in
+  Bench_file.merge_section ~file "serve_fleet" (fun old ->
+      Alcotest.(check bool) "fresh file has no section" true (old = None);
+      Json.Int 1);
+  Alcotest.(check (list string))
+    "fresh file gets a schema tag" [ "schema"; "serve_fleet" ] (keys ());
+  Out_channel.with_open_bin file (fun oc ->
+      output_string oc {|{"kernels": [1], "schema": "s", "serve_fleet": 1, "nn": 2}|});
+  Bench_file.merge_section ~file "serve_fleet" (fun old ->
+      Alcotest.(check bool) "old section handed over" true (old = Some (Json.Int 1));
+      Json.Int 3);
+  Alcotest.(check (list string))
+    "other keys kept, schema first" [ "schema"; "serve_fleet"; "kernels"; "nn" ] (keys ());
+  (match Json.of_string (In_channel.with_open_bin file In_channel.input_all) with
+  | Ok j ->
+    Alcotest.(check bool) "existing schema kept" true
+      (Json.member "schema" j = Some (Json.Str "s"));
+    Alcotest.(check bool) "section replaced" true (Json.member "serve_fleet" j = Some (Json.Int 3))
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check (list string)) "no temp file left" [ "BENCH_cinnamon.json" ]
+    (Array.to_list (Sys.readdir dir))
+
 (* ---------------------------------------------------------- result cache *)
 
 let with_temp_cache_dir f =
@@ -390,6 +434,7 @@ let suite =
       Alcotest.test_case "json round-trip" `Quick test_json_roundtrip;
       Alcotest.test_case "json exact ints" `Quick test_json_ints_exact;
       Alcotest.test_case "json rejects garbage" `Quick test_json_rejects_garbage;
+      Alcotest.test_case "bench file section merge" `Quick test_bench_file_merge;
       Alcotest.test_case "cache disk round-trip" `Quick test_cache_disk_roundtrip;
       Alcotest.test_case "cache corrupt entry" `Quick test_cache_corrupt_entry_degrades_to_miss;
       Alcotest.test_case "cache key isolation" `Quick test_cache_distinct_keys_distinct_entries;

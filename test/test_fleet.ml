@@ -63,9 +63,8 @@ let test_key_cache_mru () =
   Alcotest.check_raises "capacity >= 1"
     (Invalid_argument "Key_cache.create: capacity_bytes must be >= 1") (fun () ->
       ignore (Key_cache.create ~capacity_bytes:0));
-  (* legacy slot mode: unit-weight entries reproduce the original
-     slot-counted MRU semantics *)
-  let c = Key_cache.create_slots ~slots:2 in
+  (* unit-weight entries: a two-byte budget holds two entries *)
+  let c = Key_cache.create ~capacity_bytes:2 in
   Alcotest.(check bool) "peek cold" false (Key_cache.mem c (entry "a"));
   Alcotest.(check bool) "first touch misses" false (Key_cache.touch c (entry "a") ~bytes:1);
   Alcotest.(check bool) "peek did not count" true (Key_cache.misses c = 1);
@@ -307,14 +306,16 @@ let test_least_loaded_balances () =
     true
     (mx - mn <= 1)
 
+(* one program's key set per node, 0.25 s to load a cold one *)
+let one_slot_tenancy = Fleet.default_tenancy ~key_sets:1 ~key_load_s:0.25 (CC.paper ())
+
 let run_policy policy =
   let cfg =
     {
       Fleet.default_config with
       Fleet.fc_nodes = 4;
       fc_policy = policy;
-      fc_key_slots = 1;
-      fc_key_load_s = 0.25;
+      fc_tenancy = one_slot_tenancy;
     }
   in
   Fleet.run cfg ~make_node:(const_node ~capacity:(capacity ()) ()) ~arrivals:(trace ~rate:8.0 ())
@@ -336,7 +337,8 @@ let test_locality_beats_round_robin () =
 
 let test_fleet_full_rejection () =
   (* one node, one worker, queue of one: a burst of six leaves five
-     with nowhere to go — typed fleet-level rejection, all accounted *)
+     with nowhere to go — the router finds no room, and the node
+     refuses them with its own typed reason, all accounted *)
   let cfg =
     {
       Fleet.default_config with
@@ -350,7 +352,7 @@ let test_fleet_full_rejection () =
   let r = Fleet.run cfg ~make_node ~arrivals () in
   let rp = report r in
   Alcotest.(check int) "offered" 6 rp.Serve.Slo.rp_offered;
-  Alcotest.(check int) "fleet-full rejections" 5 rp.Serve.Slo.rp_rejected_fleet;
+  Alcotest.(check int) "queue-full rejections" 5 rp.Serve.Slo.rp_rejected_full;
   Alcotest.(check int) "accounting identity holds" rp.Serve.Slo.rp_offered
     (rp.Serve.Slo.rp_completed + rp.Serve.Slo.rp_shed + rp.Serve.Slo.rp_failed
    + rp.Serve.Slo.rp_rejected_full + rp.Serve.Slo.rp_rejected_expired
@@ -361,12 +363,63 @@ let test_fleet_full_rejection () =
     List.find_map
       (fun (resp : Serve.Response.t) ->
         match resp.Serve.Response.outcome with
-        | Serve.Response.Rejected (Serve.Admission.Fleet_full { nodes }) -> Some nodes
+        | Serve.Response.Rejected (Serve.Admission.Queue_full { capacity }) -> Some capacity
         | _ -> None)
       r.Fleet.fr_responses
   with
-  | Some nodes -> Alcotest.(check int) "typed error carries fleet size" 1 nodes
-  | None -> Alcotest.fail "expected a Fleet_full response"
+  | Some capacity -> Alcotest.(check int) "typed error carries queue capacity" 1 capacity
+  | None -> Alcotest.fail "expected a Queue_full response"
+
+let test_one_node_drain () =
+  (* the node's own drain deadline closes admission at t=0.05: the two
+     early requests drain to completion, the late one is rejected
+     Closed — nothing vanishes *)
+  let cfg = { Fleet.default_config with Fleet.fc_nodes = 1; fc_collect_responses = true } in
+  let make_node =
+    const_node ~service:1.0
+      ~capacity:{ (capacity ~workers:1 ~max_batch:1 ()) with Serve.Node.drain_after_s = Some 0.05 }
+      ()
+  in
+  let arrivals =
+    [ mk_req ~id:0 ~arrival_s:0.0; mk_req ~id:1 ~arrival_s:0.01; mk_req ~id:2 ~arrival_s:1.0 ]
+  in
+  let r = Fleet.run cfg ~make_node ~arrivals () in
+  Alcotest.(check int) "every request has a response" 3 (List.length r.Fleet.fr_responses);
+  Alcotest.(check int) "admitted requests complete" 2 (report r).Serve.Slo.rp_completed;
+  match
+    List.find
+      (fun (resp : Serve.Response.t) -> resp.Serve.Response.req.Serve.Request.req_id = 2)
+      r.Fleet.fr_responses
+  with
+  | { Serve.Response.outcome = Serve.Response.Rejected Serve.Admission.Closed; _ } -> ()
+  | resp ->
+    Alcotest.failf "expected Rejected Closed, got %s"
+      (Serve.Response.outcome_name resp.Serve.Response.outcome)
+
+let test_follow_ups_after_rejection () =
+  (* closed-loop clients react to every terminal response, rejections
+     included: each of the burst's five queue-full refusals injects one
+     follow-up that arrives after the worker frees up *)
+  let cfg = { Fleet.default_config with Fleet.fc_nodes = 1; fc_collect_responses = true } in
+  let make_node =
+    const_node ~service:1.0 ~capacity:(capacity ~workers:1 ~queue:1 ~max_batch:1 ()) ()
+  in
+  let next_id = ref 6 in
+  let on_terminal (resp : Serve.Response.t) =
+    match resp.Serve.Response.outcome with
+    | Serve.Response.Rejected _ ->
+      let id = !next_id in
+      incr next_id;
+      [ mk_req ~id ~arrival_s:(Serve.Response.terminal_s resp +. (10.0 *. Float.of_int (id - 5))) ]
+    | _ -> []
+  in
+  let arrivals = List.init 6 (fun id -> mk_req ~id ~arrival_s:0.0) in
+  let r = Fleet.run ~on_terminal cfg ~make_node ~arrivals () in
+  let rp = report r in
+  Alcotest.(check int) "burst plus one follow-up per rejection" 11 rp.Serve.Slo.rp_offered;
+  Alcotest.(check int) "burst rejections" 5 rp.Serve.Slo.rp_rejected_full;
+  Alcotest.(check int) "first request and every follow-up complete" 6 rp.Serve.Slo.rp_completed;
+  Alcotest.(check int) "every offer terminal" 11 (List.length r.Fleet.fr_responses)
 
 let test_scale_up_under_load () =
   let cfg =
@@ -436,8 +489,7 @@ let test_fleet_bit_identical_across_jobs () =
         Fleet.default_config with
         Fleet.fc_nodes = 3;
         fc_policy = Router.Locality;
-        fc_key_slots = 1;
-        fc_key_load_s = 0.25;
+        fc_tenancy = one_slot_tenancy;
         fc_autoscale =
           Some
             {
@@ -491,6 +543,8 @@ let suite =
       Alcotest.test_case "least-loaded balances depth" `Quick test_least_loaded_balances;
       Alcotest.test_case "locality beats round-robin" `Quick test_locality_beats_round_robin;
       Alcotest.test_case "fleet-full rejection typed" `Quick test_fleet_full_rejection;
+      Alcotest.test_case "one-node fleet honours drain_after_s" `Quick test_one_node_drain;
+      Alcotest.test_case "follow-ups after rejections" `Quick test_follow_ups_after_rejection;
       Alcotest.test_case "scale-up under load" `Quick test_scale_up_under_load;
       Alcotest.test_case "scale-down drains gracefully" `Quick test_scale_down_drains_gracefully;
       Alcotest.test_case "bit-identical across jobs" `Quick test_fleet_bit_identical_across_jobs;

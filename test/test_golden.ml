@@ -18,6 +18,7 @@
 module Json = Cinnamon_util.Json
 module Exec = Cinnamon_exec
 module Loadgen = Cinnamon_serve.Loadgen
+module Loadtest = Cinnamon_fleet.Loadtest
 module Fb = Cinnamon_fleet.Fleet_bench
 module Tb = Cinnamon_fleet.Tenant_bench
 
@@ -29,7 +30,7 @@ let read_file path =
 let warm mix =
   let pool = Exec.Pool.create ~jobs:2 () in
   Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) @@ fun () ->
-  ignore (Loadgen.calibrate ~pool ~compile:Loadgen.quick.Loadgen.lg_compile mix)
+  ignore (Loadgen.calibrate ~pool ~compile:Loadtest.quick.Loadtest.lg_compile mix)
 
 let check_golden name ~mix render =
   warm mix;
@@ -43,16 +44,16 @@ let check_golden name ~mix render =
     [ 1; 2 ]
 
 let test_loadtest_open () =
-  check_golden "serve_loadtest_open.json" ~mix:Loadgen.quick.Loadgen.lg_mix (fun jobs ->
-      Loadgen.result_json (Loadgen.run { Loadgen.quick with Loadgen.lg_jobs = jobs }))
+  check_golden "serve_loadtest_open.json" ~mix:Loadtest.quick.Loadtest.lg_mix (fun jobs ->
+      Loadtest.result_json (Loadtest.run { Loadtest.quick with Loadtest.lg_jobs = jobs }))
 
 let test_loadtest_closed () =
-  check_golden "serve_loadtest_closed16.json" ~mix:Loadgen.quick.Loadgen.lg_mix (fun jobs ->
-      Loadgen.result_json
-        (Loadgen.run
+  check_golden "serve_loadtest_closed16.json" ~mix:Loadtest.quick.Loadtest.lg_mix (fun jobs ->
+      Loadtest.result_json
+        (Loadtest.run
            {
-             Loadgen.quick with
-             Loadgen.lg_mode = Loadgen.Closed_loop { clients = 16; think_factor = 0.1 };
+             Loadtest.quick with
+             Loadtest.lg_mode = Loadtest.Closed_loop { clients = 16; think_factor = 0.1 };
              lg_jobs = jobs;
            }))
 

@@ -2,10 +2,13 @@
    virtual-time scheduler and SLO accounting — synthetic executors
    throughout (no compiles), so every failure path is driven
    deliberately: queue-full rejection, deadline shedding, transient
-   retries, permanent failure, drain-on-shutdown. *)
+   retries, permanent failure, drain-on-shutdown.  The single-node
+   server under test is a one-node fleet. *)
 
 open Cinnamon_serve
 module CC = Cinnamon_compiler.Compile_config
+module Fleet = Cinnamon_fleet.Fleet
+module Loadtest = Cinnamon_fleet.Loadtest
 
 let req ?config ?priority ?deadline_s ~id ~arrival_s () =
   Request.make ?config ?priority ?deadline_s ~id ~bench:"bootstrap" ~system:"cinnamon-4"
@@ -17,22 +20,26 @@ let const_executor ?(service = 1.0) calls ~now_s:_ _batch =
   incr calls;
   service
 
-(* The single-node entry point, via the first-class Node record. *)
-let run_server ?on_terminal ~capacity ~executor arrivals =
-  Server.run (Node.make ?on_terminal ~capacity ~execute:executor ()) ~arrivals ()
+(* The single-node server: a one-node fleet of the first-class Node
+   record. *)
+let run_server ~capacity ~executor arrivals =
+  Fleet.run
+    { Fleet.default_config with Fleet.fc_nodes = 1; fc_collect_responses = true }
+    ~make_node:(fun _ -> Node.make ~capacity ~execute:executor ())
+    ~arrivals ()
 
 let contains ~needle hay =
   let ls = String.length needle and ln = String.length hay in
   let rec scan i = i + ls <= ln && (String.sub hay i ls = needle || scan (i + 1)) in
   scan 0
 
-let outcomes (r : Server.result) =
-  List.map (fun (resp : Response.t) -> Response.outcome_name resp.Response.outcome) r.responses
+let outcomes (r : Fleet.result) =
+  List.map (fun (resp : Response.t) -> Response.outcome_name resp.Response.outcome) r.fr_responses
 
 let count name r = List.length (List.filter (( = ) name) (outcomes r))
 
-let find_response (r : Server.result) id =
-  List.find (fun (resp : Response.t) -> resp.Response.req.Request.req_id = id) r.responses
+let find_response (r : Fleet.result) id =
+  List.find (fun (resp : Response.t) -> resp.Response.req.Request.req_id = id) r.fr_responses
 
 let opt_ms = Alcotest.(option (float 1e-9))
 
@@ -94,7 +101,7 @@ let test_deadline_shed_while_queued () =
     Alcotest.(check (float 1e-9)) "deadline recorded" 1.0 deadline_s;
     Alcotest.(check bool) "shed after expiry" true (shed_s >= deadline_s)
   | o -> Alcotest.failf "expected Shed, got %s" (Response.outcome_name o));
-  let rp = Slo.report r.Server.slo ~duration_s:r.Server.makespan_s ~compiles:0 ~cache_hits:0 in
+  let rp = Slo.report r.Fleet.fr_slo ~duration_s:r.Fleet.fr_makespan_s ~compiles:0 ~cache_hits:0 in
   Alcotest.(check int) "slo sees the shed" 1 rp.Slo.rp_shed;
   Alcotest.(check bool) "shed rate positive" true (rp.Slo.rp_shed_rate > 0.0)
 
@@ -113,7 +120,7 @@ let test_retry_then_succeed () =
   (match (find_response r 0).Response.outcome with
   | Response.Completed { attempts; _ } -> Alcotest.(check int) "attempts recorded" 2 attempts
   | o -> Alcotest.failf "expected Completed, got %s" (Response.outcome_name o));
-  let rp = Slo.report r.Server.slo ~duration_s:1.0 ~compiles:0 ~cache_hits:0 in
+  let rp = Slo.report r.Fleet.fr_slo ~duration_s:1.0 ~compiles:0 ~cache_hits:0 in
   Alcotest.(check int) "one retry counted" 1 rp.Slo.rp_retries
 
 let test_retries_exhausted () =
@@ -174,7 +181,7 @@ let test_batch_respects_slot_cap () =
       | Response.Completed { batch_size; _ } ->
         Alcotest.(check bool) "batch within slot cap" true (batch_size <= 2)
       | o -> Alcotest.failf "expected Completed, got %s" (Response.outcome_name o))
-    r.Server.responses
+    r.Fleet.fr_responses
 
 let test_incompatible_requests_split_batches () =
   (* same arrival instant, different compile configs -> the batcher
@@ -258,7 +265,7 @@ let test_drain_completes_admitted () =
     { Node.default_capacity with Node.workers = 1; max_batch = 1; drain_after_s = Some 0.05 }
   in
   let r = run_server ~capacity ~executor:(const_executor calls) arrivals in
-  Alcotest.(check int) "every request has a response" 3 (List.length r.Server.responses);
+  Alcotest.(check int) "every request has a response" 3 (List.length r.Fleet.fr_responses);
   Alcotest.(check int) "admitted requests complete" 2 (count "completed" r);
   match (find_response r 2).Response.outcome with
   | Response.Rejected Admission.Closed -> ()
@@ -269,12 +276,12 @@ let test_drain_completes_admitted () =
 let run_quick_loadgen () =
   Cinnamon_exec.Result_cache.clear_memory ();
   Cinnamon_exec.Result_cache.reset_stats ();
-  Loadgen.run { Loadgen.quick with Loadgen.lg_requests = 12; lg_jobs = 1 }
+  Loadtest.run { Loadtest.quick with Loadtest.lg_requests = 12; lg_jobs = 1 }
 
 let test_loadgen_deterministic_and_amortized () =
   let a = run_quick_loadgen () in
   let b = run_quick_loadgen () in
-  let ra = a.Loadgen.lr_report and rb = b.Loadgen.lr_report in
+  let ra = a.Loadtest.lr_report and rb = b.Loadtest.lr_report in
   Alcotest.check opt_ms "p99 reproducible" ra.Slo.rp_p99_ms rb.Slo.rp_p99_ms;
   Alcotest.(check int) "completions reproducible" ra.Slo.rp_completed rb.Slo.rp_completed;
   Alcotest.(check int) "batches reproducible" ra.Slo.rp_batches rb.Slo.rp_batches;
@@ -289,8 +296,8 @@ let test_every_offered_request_accounted () =
   let arrivals = List.init 20 (fun id -> req ~id ~arrival_s:(0.3 *. Float.of_int id) ()) in
   let capacity = { Node.default_capacity with Node.workers = 2; queue_capacity = 3 } in
   let r = run_server ~capacity ~executor:(const_executor ~service:2.0 calls) arrivals in
-  Alcotest.(check int) "20 responses for 20 requests" 20 (List.length r.Server.responses);
-  let rp = Slo.report r.Server.slo ~duration_s:r.Server.makespan_s ~compiles:0 ~cache_hits:0 in
+  Alcotest.(check int) "20 responses for 20 requests" 20 (List.length r.Fleet.fr_responses);
+  let rp = Slo.report r.Fleet.fr_slo ~duration_s:r.Fleet.fr_makespan_s ~compiles:0 ~cache_hits:0 in
   Alcotest.(check int) "offered = terminal outcomes"
     rp.Slo.rp_offered
     (rp.Slo.rp_completed + rp.Slo.rp_shed + rp.Slo.rp_failed + rp.Slo.rp_rejected_full

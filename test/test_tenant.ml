@@ -217,7 +217,7 @@ let paper_tenancy ?(period = infinity) ?(capacity_sets = 2.0) () =
         sc_rotation_period_s = period;
       };
     tn_key_capacity_bytes = int_of_float (capacity_sets *. Float.of_int set_bytes);
-    tn_key_load_s_per_gb = 0.1;
+    tn_key_load_s = 0.1 *. Float.of_int set_bytes /. 1e9;
     tn_transcipher_s = 0.01;
     tn_upload = Transcipher.upload_of_config (CC.paper ());
   }
@@ -254,7 +254,7 @@ let run_tenant_fleet ?pool ?(period = infinity) ~policy () =
       Fleet.Fleet.default_config with
       Fleet.Fleet.fc_nodes = 3;
       fc_policy = policy;
-      fc_tenancy = Some (paper_tenancy ~period ());
+      fc_tenancy = paper_tenancy ~period ();
       fc_collect_responses = true;
     }
   in
@@ -266,7 +266,7 @@ let test_fleet_rotation_mid_flight () =
      in-flight epochs, so every request completes and rotations both
      start and finish during the run *)
   let r = run_tenant_fleet ~period:5.0 ~policy:Fleet.Router.Locality () in
-  let tr = Option.get r.Fleet.Fleet.fr_tenants in
+  let tr = r.Fleet.Fleet.fr_tenants in
   let report =
     Serve.Slo.report r.Fleet.Fleet.fr_slo
       ~duration_s:(Float.max r.Fleet.Fleet.fr_makespan_s 1e-9)
@@ -302,7 +302,7 @@ let test_fleet_tenant_locality_wins () =
        (Fleet.Fleet.key_hit_rate loc) (Fleet.Fleet.key_hit_rate rr))
     true
     (Fleet.Fleet.key_hit_rate loc > Fleet.Fleet.key_hit_rate rr);
-  let pen r = (Option.get r.Fleet.Fleet.fr_tenants).Fleet.Fleet.tr_key_penalty_s in
+  let pen r = r.Fleet.Fleet.fr_tenants.Fleet.Fleet.tr_key_penalty_s in
   Alcotest.(check bool) "locality pays less key-load penalty" true (pen loc < pen rr)
 
 let test_fleet_tenants_bit_identical_across_jobs () =
@@ -320,7 +320,7 @@ let test_fleet_tenants_bit_identical_across_jobs () =
   Alcotest.(check int) "key hits identical" a.Fleet.Fleet.fr_key_hits b.Fleet.Fleet.fr_key_hits;
   Alcotest.(check (list (pair string int))) "router decisions identical" a.Fleet.Fleet.fr_router
     b.Fleet.Fleet.fr_router;
-  let ta = Option.get a.Fleet.Fleet.fr_tenants and tb = Option.get b.Fleet.Fleet.fr_tenants in
+  let ta = a.Fleet.Fleet.fr_tenants and tb = b.Fleet.Fleet.fr_tenants in
   Alcotest.(check (float 0.0)) "key penalty bit-identical" ta.Fleet.Fleet.tr_key_penalty_s
     tb.Fleet.Fleet.tr_key_penalty_s;
   Alcotest.(check (float 0.0)) "ingress bit-identical" ta.Fleet.Fleet.tr_transcipher_s
