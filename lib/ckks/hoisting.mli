@@ -6,9 +6,9 @@
     The fast path rides {!Keyswitch_fused}: one shared decomposition,
     one lazy permuted multiply-accumulate per rotation (the
     automorphism is a gather inside the key multiply), and for
-    rotate-and-sum a single mod-down for the whole batch.  The [_ref]
-    functions retain the original whole-polynomial formulation as the
-    bitwise oracle. *)
+    rotate-and-sum a single mod-down for the whole batch.  The original
+    whole-polynomial formulation is the bitwise oracle in the test-only
+    library under [test/oracle]. *)
 
 open Cinnamon_rns
 
@@ -50,15 +50,3 @@ val rotate_sum :
   Ciphertext.t ->
   int list ->
   Ciphertext.t
-
-(** {2 Reference implementations (test oracles)}
-
-    The original per-digit, whole-polynomial hoisting; the fused path
-    above must match these bitwise. *)
-
-type precomputed_ref
-
-val precompute_ref : Params.t -> Rns_poly.t -> precomputed_ref
-
-val rotate_hoisted_ref :
-  Params.t -> precomputed_ref -> Keys.switch_key -> Ciphertext.t -> rot:int -> Ciphertext.t

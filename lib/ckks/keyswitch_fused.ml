@@ -1,9 +1,12 @@
-(* Fused hybrid keyswitching — the streaming, limb-major engine.
+(* Fused hybrid keyswitching — the streaming, limb-major engine, and
+   the only keyswitch dataflow in the library: Eval, Hoisting,
+   Bootstrap and the parallel algorithms of Keyswitch_alg all run on it.
 
-   Same mathematics as Keyswitch.keyswitch (the retained oracle), but
-   the dataflow is reorganized around OUTPUT limbs so every
-   intermediate either stays in a cache-sized scratch tile or is never
-   materialized at all:
+   Same mathematics as the textbook whole-polynomial keyswitch (digit
+   split, mod-up, inner product, mod-down; kept as the oracle in the
+   test-only library under test/oracle), but the dataflow is
+   reorganized around OUTPUT limbs so every intermediate either stays
+   in a cache-sized scratch tile or is never materialized at all:
 
      phase 1 (decompose)   one INTT per input limb, with base
                            conversion's stage-1 q̂^-1 factor fused into
@@ -41,6 +44,12 @@
    oracle uses, so column arithmetic is literally shared.  DESIGN.md
    ("Fused keyswitch pipeline") carries the overflow-bound arithmetic.
 
+   Digit layouts are data: a digit is a set of Q_l limbs plus the key
+   pair it multiplies.  The standard layout (Params.digit_ranges
+   truncated to the level) and one chip's round-robin share (output
+   aggregation, Keyswitch_alg) are two values of the same type, and the
+   plan memo holds one plan per (level, layout).
+
    Parallelism: phases fan out across limbs (never within one limb)
    with disjoint write ranges, so each item's scalar sequence is
    independent of scheduling and results are bit-identical for any
@@ -50,12 +59,12 @@ open Cinnamon_rns
 module Pool = Cinnamon_pool.Pool
 module Tel = Cinnamon_telemetry.Telemetry
 
+type digit = { limbs : int list; key : int }
+
 type digit_plan = {
-  d_lo : int; (* first Q_l limb of the digit *)
-  d_hi : int; (* one past the last *)
+  d_limbs : int array; (* Q_l limbs of the digit, ascending *)
   d_key : int; (* index into swk_b / swk_a *)
   d_tbl : Base_conv.table; (* digit basis -> complement-of-digit *)
-  d_scale : int array; (* stage-1 q̂^-1 per digit limb (index j - d_lo) *)
   d_col : int array; (* target limb -> conversion column, -1 = digit-resident *)
 }
 
@@ -67,7 +76,7 @@ type plan = {
   pl_t : int; (* limbs of Q_l ∪ P *)
   pl_alpha : int;
   pl_digits : digit_plan array;
-  pl_limb_digit : int array; (* Q_l limb -> owning digit index *)
+  pl_decomp : (int * int) array; (* (digit limb, its stage-1 q̂^-1), every digit limb *)
   pl_key_idx : int array; (* target limb -> limb index in the key's Q_L ∪ P basis *)
   pl_ntt : Ntt.plan array; (* per target limb *)
   pl_down_tbl : Base_conv.table; (* P -> Q_l *)
@@ -76,55 +85,59 @@ type plan = {
   pl_p_inv_sh : int array; (* Shoup constants of the above *)
 }
 
-(* Plans are pure functions of (n, chain, level, digit layout); one per
-   level in practice, cached like the NTT/base-conversion tables. *)
-let plans : (int * int list * int list * int * int * int, plan) Cinnamon_util.Memo.t =
-  Cinnamon_util.Memo.create ~size:64 ()
+(* The standard hybrid layout: the full-chain digit ranges of
+   Params.digit_ranges truncated to the level, digit i keyed by key
+   pair i. *)
+let standard_layout params ~limbs =
+  Params.digit_ranges params
+  |> List.filter_map (fun (lo, hi) ->
+         let hi = min hi limbs in
+         if hi <= lo then None
+         else Some { limbs = List.init (hi - lo) (fun j -> lo + j); key = lo / params.Params.alpha })
 
-let build_plan params ~q_l =
+let build_plan params ~q_l layout =
   let n = params.Params.n in
   let tq = Basis.size q_l in
   let target = Basis.union q_l params.Params.p_basis in
   let t = Basis.size target in
   let alpha = params.Params.alpha in
   let qp = Params.qp_basis params in
-  let ranges =
-    Params.digit_ranges params
-    |> List.filter_map (fun (lo, hi) ->
-           let hi = min hi tq in
-           if hi <= lo then None else Some (lo, hi))
+  let owned = Array.make tq false in
+  let digit { limbs; key } =
+    let d_limbs = Array.of_list limbs in
+    if d_limbs = [||] then invalid_arg "Keyswitch_fused: empty digit";
+    Array.iteri
+      (fun i j ->
+        if j < 0 || j >= tq || owned.(j) || (i > 0 && j <= d_limbs.(i - 1)) then
+          invalid_arg "Keyswitch_fused: digit limbs must be ascending, disjoint and within Q_l";
+        owned.(j) <- true)
+      d_limbs;
+    let complement = List.filter (fun k -> not (Array.mem k d_limbs)) (List.init t Fun.id) in
+    let col = Array.make t (-1) in
+    List.iteri (fun c k -> col.(k) <- c) complement;
+    {
+      d_limbs;
+      d_key = key;
+      d_tbl = Base_conv.table ~src:(Basis.sub q_l limbs) ~dst:(Basis.sub target complement);
+      d_col = col;
+    }
   in
-  let digits =
-    ranges
-    |> List.map (fun (lo, hi) ->
-           let digit_basis = Basis.prefix_range q_l lo hi in
-           let complement_idx =
-             List.filteri (fun _ q -> not (Basis.mem digit_basis q)) (Basis.to_list target)
-             |> List.map (fun q -> Basis.index target q)
-           in
-           let complement = Basis.sub target complement_idx in
-           let tbl = Base_conv.table ~src:digit_basis ~dst:complement in
-           {
-             d_lo = lo;
-             d_hi = hi;
-             d_key = lo / alpha;
-             d_tbl = tbl;
-             d_scale = Array.init (hi - lo) (fun j -> Base_conv.qhat_inv tbl j);
-             d_col =
-               Array.init t (fun k ->
-                   if k >= lo && k < hi then -1 else if k < lo then k else k - (hi - lo));
-           })
+  let digits = Array.of_list (List.map digit layout) in
+  let decomp =
+    Array.to_list digits
+    |> List.concat_map (fun dp ->
+           List.init (Array.length dp.d_limbs) (fun i ->
+               (dp.d_limbs.(i), Base_conv.qhat_inv dp.d_tbl i)))
     |> Array.of_list
   in
-  let limb_digit = Array.make tq 0 in
-  Array.iteri
-    (fun d dp ->
-      for j = dp.d_lo to dp.d_hi - 1 do
-        limb_digit.(j) <- d
-      done)
-    digits;
   let down_tbl = Base_conv.table ~src:params.Params.p_basis ~dst:q_l in
-  let p_inv = Mod_updown.p_inv_scalars ~target:q_l ~ext:params.Params.p_basis in
+  (* (prod P)^-1 mod each prime of Q_l: the mod-down's final scale. *)
+  let p_prod = Basis.product params.Params.p_basis in
+  let p_inv =
+    Array.init tq (fun k ->
+        Modarith.inv (Basis.modulus q_l k)
+          (Cinnamon_util.Bigint.rem_small p_prod (Basis.value q_l k)))
+  in
   {
     pl_n = n;
     pl_q = q_l;
@@ -133,7 +146,7 @@ let build_plan params ~q_l =
     pl_t = t;
     pl_alpha = alpha;
     pl_digits = digits;
-    pl_limb_digit = limb_digit;
+    pl_decomp = decomp;
     pl_key_idx = Array.init t (fun k -> Basis.index qp (Basis.value target k));
     pl_ntt = Array.init t (fun k -> Ntt.plan ~q:(Basis.value target k) ~n);
     pl_down_tbl = down_tbl;
@@ -142,19 +155,26 @@ let build_plan params ~q_l =
     pl_p_inv_sh = Array.init tq (fun k -> Modarith.shoup (Basis.modulus q_l k) p_inv.(k));
   }
 
-let plan_for params ~q_l =
+(* Plans are pure functions of (n, chain, level, digit layout): one per
+   level for the standard layout ([None]) plus one per chip share for
+   output aggregation, cached like the NTT/base-conversion tables. *)
+let plans : (digit list option * int * int list * int list * int, plan) Cinnamon_util.Memo.t =
+  Cinnamon_util.Memo.create ~size:64 ()
+
+let plan_for params ~q_l layout =
   let tq = Basis.size q_l in
   if not (Basis.equal q_l (Basis.prefix params.Params.q_basis tq)) then
     invalid_arg "Keyswitch_fused: ciphertext basis is not a prefix of the modulus chain";
   let key =
-    ( params.Params.n,
+    ( layout,
+      params.Params.n,
       Basis.to_list params.Params.q_basis,
       Basis.to_list params.Params.p_basis,
-      tq,
-      params.Params.dnum,
-      params.Params.alpha )
+      tq )
   in
-  Cinnamon_util.Memo.get plans key (fun () -> build_plan params ~q_l)
+  Cinnamon_util.Memo.get plans key (fun () ->
+      build_plan params ~q_l
+        (Option.value layout ~default:(standard_layout params ~limbs:tq)))
 
 (* Fan [count] independent items across the pool (or run them inline).
    Items only ever write disjoint limb ranges. *)
@@ -197,14 +217,15 @@ let mac_limb ~q ~perm ~(ext : Limb_buf.t array) ~(kb : Limb_buf.t array)
     lo := hi
   done
 
-(* Phase 1: INTT every Q_l limb of [c] into [scaled], folding the
-   owning digit's q̂^-1 factor into the transform epilogue. *)
+(* Phase 1: INTT every digit limb of [c] into [scaled] (indexed by Q_l
+   limb), folding the owning digit's q̂^-1 factor into the transform
+   epilogue.  Returns each digit's scaled limbs in digit order. *)
 let decompose_scaled pool pl c ~(scaled : Limb_buf.t array) =
-  run_items pool pl.pl_tq (fun j ->
-      let dp = pl.pl_digits.(pl.pl_limb_digit.(j)) in
-      Ntt.inverse_scaled_into pl.pl_ntt.(j)
-        ~scale:dp.d_scale.(j - dp.d_lo)
-        ~src:(Rns_poly.unsafe_limb_view c j) ~dst:scaled.(j))
+  run_items pool (Array.length pl.pl_decomp) (fun i ->
+      let j, scale = pl.pl_decomp.(i) in
+      Ntt.inverse_scaled_into pl.pl_ntt.(j) ~scale ~src:(Rns_poly.unsafe_limb_view c j)
+        ~dst:scaled.(j));
+  Array.map (fun dp -> Array.map (fun j -> scaled.(j)) dp.d_limbs) pl.pl_digits
 
 let key_views pl (part : Rns_poly.t array) k =
   let kk = pl.pl_key_idx.(k) in
@@ -246,21 +267,21 @@ let check_input name pl c =
   if Rns_poly.domain c <> Rns_poly.Eval then invalid_arg (name ^ ": Eval-domain input required");
   if Rns_poly.n c <> pl.pl_n then invalid_arg (name ^ ": ring dimension mismatch")
 
-(* The fused keyswitch: bitwise equal to Keyswitch.keyswitch for every
-   level prefix, digit layout, and job count. *)
-let keyswitch ?pool params (swk : Keys.switch_key) c =
+(* The fused keyswitch over a digit layout ([None] = the standard
+   one): bitwise equal to the whole-polynomial reference for every level
+   prefix, digit layout, and job count. *)
+let keyswitch_with ?pool params layout (swk : Keys.switch_key) c =
   let q_l = Rns_poly.basis c in
-  let pl = plan_for params ~q_l in
+  let pl = plan_for params ~q_l layout in
   check_input "Keyswitch_fused.keyswitch" pl c;
   let n = pl.pl_n in
   Tel.Span.with_ ~cat:"ks_fused" "ks_fused.keyswitch" (fun () ->
       let acc0 = Rns_poly.create ~n ~basis:pl.pl_target ~domain:Rns_poly.Eval in
       let acc1 = Rns_poly.create ~n ~basis:pl.pl_target ~domain:Rns_poly.Eval in
       Scratch.with_bufs ~n ~count:pl.pl_tq (fun scaled ->
-          Tel.Span.with_ ~cat:"ks_fused" "ks_fused.decompose" (fun () ->
-              decompose_scaled pool pl c ~scaled);
           let digit_scaled =
-            Array.map (fun dp -> Array.sub scaled dp.d_lo (dp.d_hi - dp.d_lo)) pl.pl_digits
+            Tel.Span.with_ ~cat:"ks_fused" "ks_fused.decompose" (fun () ->
+                decompose_scaled pool pl c ~scaled)
           in
           Tel.Span.with_ ~cat:"ks_fused" "ks_fused.extend_mac" (fun () ->
               run_items pool pl.pl_t (fun k ->
@@ -287,14 +308,16 @@ let keyswitch ?pool params (swk : Keys.switch_key) c =
       Tel.Span.with_ ~cat:"ks_fused" "ks_fused.mod_down" (fun () ->
           mod_down2_plan pool pl acc0 acc1))
 
+let keyswitch ?pool params swk c = keyswitch_with ?pool params None swk c
+let keyswitch_digits ?pool params digits swk c = keyswitch_with ?pool params (Some digits) swk c
+
 (* --- shared decomposition (hoisting support) -------------------------- *)
 
 (* A decomposition materializes what phase 2 normally streams: the
    extended digits of c1 in Eval domain over Q_l ∪ P, computed once and
-   reused by every rotation.  Bitwise equal to the oracle's
-   Keyswitch.extend_digit outputs (digit-resident limbs are the
-   ciphertext's own Eval limbs; conversion columns share the oracle's
-   tables). *)
+   reused by every rotation.  Bitwise equal to the oracle's extended
+   digits (digit-resident limbs are the ciphertext's own Eval limbs;
+   conversion columns share the oracle's tables). *)
 type decomposition = {
   dec_plan : plan;
   dec_ext : Rns_poly.t array; (* per digit, over Q_l ∪ P, Eval *)
@@ -302,7 +325,7 @@ type decomposition = {
 
 let decompose ?pool params c1 =
   let q_l = Rns_poly.basis c1 in
-  let pl = plan_for params ~q_l in
+  let pl = plan_for params ~q_l None in
   check_input "Keyswitch_fused.decompose" pl c1;
   let n = pl.pl_n in
   let ndig = Array.length pl.pl_digits in
@@ -311,10 +334,7 @@ let decompose ?pool params c1 =
         Array.init ndig (fun _ -> Rns_poly.create ~n ~basis:pl.pl_target ~domain:Rns_poly.Eval)
       in
       Scratch.with_bufs ~n ~count:pl.pl_tq (fun scaled ->
-          decompose_scaled pool pl c1 ~scaled;
-          let digit_scaled =
-            Array.map (fun dp -> Array.sub scaled dp.d_lo (dp.d_hi - dp.d_lo)) pl.pl_digits
-          in
+          let digit_scaled = decompose_scaled pool pl c1 ~scaled in
           run_items pool (ndig * pl.pl_t) (fun i ->
               let d = i / pl.pl_t and k = i mod pl.pl_t in
               let dp = pl.pl_digits.(d) in

@@ -1,7 +1,8 @@
-(** Fused hybrid keyswitching — the streaming, limb-major fast path.
+(** Fused hybrid keyswitching — the library's one keyswitch engine.
 
-    Bitwise equal to {!Keyswitch.keyswitch} (the retained oracle) for
-    every level, digit layout, and [--jobs] count, but streams the
+    Bitwise equal to the textbook whole-polynomial keyswitch (the
+    oracle in the test-only library under [test/oracle]) for every
+    level, digit layout, and [--jobs] count, but streams the
     digit-INTT → base-extension → NTT → key multiply-accumulate
     dataflow through cache-sized scratch tiles: base conversion's
     stage-1 scaling rides the INTT epilogue, digit-resident limbs skip
@@ -24,6 +25,25 @@ val keyswitch :
   Rns_poly.t ->
   Rns_poly.t * Rns_poly.t
 
+(** One digit of a keyswitch decomposition: ascending limb indices of
+    Q_l and the index of the switch-key pair ([swk_b] / [swk_a]) it
+    multiplies.  {!keyswitch} uses the standard layout
+    ([Params.digit_ranges] truncated to the level, digit i keyed by
+    pair i); one chip's round-robin share in output aggregation is a
+    one-digit layout. *)
+type digit = { limbs : int list; key : int }
+
+(** {!keyswitch} over an explicit digit layout.  Limbs outside every
+    digit contribute nothing.  Raises [Invalid_argument] on an empty
+    digit or on limbs that are unsorted, shared or outside Q_l. *)
+val keyswitch_digits :
+  ?pool:Cinnamon_pool.Pool.t ->
+  Params.t ->
+  digit list ->
+  Keys.switch_key ->
+  Rns_poly.t ->
+  Rns_poly.t * Rns_poly.t
+
 (** {2 Shared decomposition (hoisting)}
 
     Rotating one ciphertext by many amounts re-uses one digit
@@ -32,8 +52,9 @@ val keyswitch :
 
 type decomposition
 
-(** Decompose and extend [c1] (Eval, over a prefix of Q) once.  The
-    extended digits are bitwise those of {!Keyswitch.extend_digit}. *)
+(** Decompose and extend [c1] (Eval, over a prefix of Q) once, over
+    the standard digit layout.  The extended digits are bitwise the
+    oracle's mod-up of each digit. *)
 val decompose : ?pool:Cinnamon_pool.Pool.t -> Params.t -> Rns_poly.t -> decomposition
 
 (** The extension basis Q_l ∪ P accumulators must live on. *)
@@ -59,7 +80,8 @@ val accumulate :
   unit
 
 (** Fused mod-down of both accumulators by P: Eval over Q_l ∪ P in,
-    Eval over Q_l out — bitwise {!Mod_updown.mod_down} on each. *)
+    Eval over Q_l out — bitwise the oracle's whole-polynomial mod-down
+    on each. *)
 val mod_down2 :
   ?pool:Cinnamon_pool.Pool.t ->
   decomposition ->

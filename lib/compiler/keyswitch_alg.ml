@@ -2,11 +2,12 @@
 
    Each algorithm exists in two forms:
 
-   1. A functional reference [run_*] operating on real RNS polynomials
-      with explicit per-chip data placement, so equivalence with the
-      sequential keyswitch (Cinnamon_ckks.Keyswitch) can be tested
-      end-to-end, and communication (limbs crossing chips) is counted
-      from actual data movement rather than a model.
+   1. A functional form [run] over real RNS polynomials.  Every
+      algorithm is a fused keyswitch (Cinnamon_ckks.Keyswitch_fused,
+      the library's one keyswitch dataflow) plus communication
+      accounting.  Communication (limbs crossing chips) is not observed
+      from data movement: it is counted with the analytic formulas
+      [count_broadcast] / [count_aggregate] below.
 
    2. A limb-IR emitter [emit] (in Lower_limb) that produces the
       per-chip instruction streams the scheduler and simulator consume.
@@ -17,7 +18,10 @@
      input broadcast     — ONE broadcast (mod-up); extension limbs are
                            duplicated so mod-down needs no traffic
      output aggregation  — digit-per-chip; TWO aggregate+scatter ops at
-                           the end, batchable across keyswitches *)
+                           the end, batchable across keyswitches
+
+   The per-chip whole-polynomial forms these reproduce bit for bit are
+   kept as references beside the tests (test/oracle). *)
 
 open Cinnamon_rns
 open Cinnamon_ckks
@@ -38,115 +42,90 @@ let count_broadcast cnt ~limbs ~chips =
   cnt.n_broadcast <- cnt.n_broadcast + 1;
   cnt.limbs_moved <- cnt.limbs_moved + (limbs * (chips - 1))
 
+(* Record a reduce-scatter of [limbs] limbs over [chips]: each chip
+   sends (chips-1)/chips of its data, limbs*(chips-1) in total. *)
 let count_aggregate cnt ~limbs ~chips =
   cnt.n_aggregate <- cnt.n_aggregate + 1;
-  (* reduce-scatter: each chip sends (chips-1)/chips of its data *)
-  cnt.limbs_moved <- cnt.limbs_moved + (limbs * (chips - 1) / chips * chips)
-
-(* --- shared helpers ------------------------------------------------------ *)
+  cnt.limbs_moved <- cnt.limbs_moved + (limbs * (chips - 1))
 
 (* Modular (round-robin) limb ownership: limb index i lives on chip
    i mod n (paper §4.3.1). *)
-let owner ~chips i = i mod chips
-
-(* Per-chip slice of a basis. *)
-let chip_indices ~chips ~limbs c =
-  List.filter (fun i -> owner ~chips i = c) (List.init limbs (fun i -> i))
+let chip_indices ~chips ~limbs c = List.filter (fun i -> i mod chips = c) (List.init limbs Fun.id)
 
 (* --- CiFHER broadcast keyswitching -------------------------------------- *)
 
 (* CiFHER [38] resolves cross-limb dependencies by broadcasting the
    inputs of every base conversion: the input limbs at mod-up and the
-   extension limbs of both accumulators at mod-down.  Functionally the
-   result is identical to sequential keyswitching; only the placement
-   and traffic differ, which we account for here. *)
+   extension limbs of both accumulators at mod-down.  After the
+   broadcasts every chip holds what the sequential algorithm needs, so
+   the result IS the sequential keyswitch; only placement and traffic
+   differ. *)
 let run_cifher params swk c ~chips cnt =
-  let limbs = Rns_poly.level c in
-  count_broadcast cnt ~limbs ~chips;
-  (* After the broadcast every chip holds all limbs; compute proceeds
-     as in the sequential algorithm with outputs sharded per chip. *)
-  let k0, k1 = Keyswitch.keyswitch params swk c in
-  (* mod-down base conversions need the extension limbs of both
-     accumulators on every chip. *)
   let ext = Basis.size params.Params.p_basis in
+  count_broadcast cnt ~limbs:(Rns_poly.level c) ~chips;
   count_broadcast cnt ~limbs:ext ~chips;
   count_broadcast cnt ~limbs:ext ~chips;
-  (k0, k1)
+  Keyswitch_fused.keyswitch params swk c
 
 (* --- Input broadcast keyswitching (paper Fig. 8b) ------------------------ *)
 
 (* One broadcast of the input limbs; every chip then computes the
    extension limbs of every digit locally (duplicated work), so the
    mod-down needs no communication and each chip ends holding exactly
-   its modular share of the result.
-
-   The functional form computes, per chip, only the output limbs that
-   chip owns, then reassembles — verifying that the algorithm is
-   equivalent limb-for-limb to the sequential keyswitch. *)
+   its modular share of the result.  Every output limb is computed from
+   the same digits, key limbs and conversion columns whichever chip owns
+   it, so each chip's share is bitwise those limbs of the sequential
+   keyswitch: one fused call computes all shares at once. *)
 let run_input_broadcast params swk c ~chips cnt =
-  let limbs = Rns_poly.level c in
-  count_broadcast cnt ~limbs ~chips;
-  let q_l = Rns_poly.basis c in
-  let p_basis = params.Params.p_basis in
-  let target = Basis.union q_l p_basis in
-  let digits = Keyswitch.split_digits params c in
-  let n = Rns_poly.n c in
-  (* Chip c computes the inner product over basis Q_c ∪ P where Q_c is
-     its modular share, using locally-computed extension limbs. *)
-  let per_chip =
-    List.init chips (fun chip ->
-        let q_idx = chip_indices ~chips ~limbs chip in
-        let local_basis = Basis.union (Basis.sub q_l q_idx) p_basis in
-        let acc0 = ref (Rns_poly.create ~n ~basis:local_basis ~domain:Rns_poly.Eval) in
-        let acc1 = ref (Rns_poly.create ~n ~basis:local_basis ~domain:Rns_poly.Eval) in
-        List.iter
-          (fun (digit_index, digit) ->
-            let d_i = digit_index / params.Params.alpha in
-            (* every chip has all input limbs post-broadcast: extend the
-               digit to this chip's local basis *)
-            let extended = Keyswitch.extend_digit digit ~target:local_basis in
-            let b = Rns_poly.restrict swk.Keys.swk_b.(d_i) local_basis in
-            let a = Rns_poly.restrict swk.Keys.swk_a.(d_i) local_basis in
-            acc0 := Rns_poly.add !acc0 (Rns_poly.mul extended b);
-            acc1 := Rns_poly.add !acc1 (Rns_poly.mul extended a))
-          digits;
-        let q_c = Basis.sub q_l q_idx in
-        let k0 = Mod_updown.mod_down !acc0 ~target:q_c ~ext:p_basis in
-        let k1 = Mod_updown.mod_down !acc1 ~target:q_c ~ext:p_basis in
-        (q_idx, k0, k1))
-  in
-  (* Reassemble the full result from the per-chip shards. *)
-  let k0 = Rns_poly.create ~n ~basis:q_l ~domain:Rns_poly.Eval in
-  let k1 = Rns_poly.create ~n ~basis:q_l ~domain:Rns_poly.Eval in
-  List.iter
-    (fun (q_idx, s0, s1) ->
-      List.iteri
-        (fun local_i global_i ->
-          Limb_buf.blit
-            ~src:(Rns_poly.unsafe_limb_view (Rns_poly.to_eval s0) local_i)
-            ~dst:(Rns_poly.unsafe_limb_view k0 global_i);
-          Limb_buf.blit
-            ~src:(Rns_poly.unsafe_limb_view (Rns_poly.to_eval s1) local_i)
-            ~dst:(Rns_poly.unsafe_limb_view k1 global_i))
-        q_idx)
-    per_chip;
-  ignore target;
-  (k0, k1)
+  count_broadcast cnt ~limbs:(Rns_poly.level c) ~chips;
+  Keyswitch_fused.keyswitch params swk c
 
 (* --- Output aggregation keyswitching (paper Fig. 8c) --------------------- *)
 
 (* The chips' modular limb shares are themselves used as the digits, so
    no input communication is needed.  Each chip mod-ups its share to
-   the full basis, multiplies by its digit's evalkey, and the partial
-   products are aggregate-scattered; the mod-down then runs locally on
-   each chip's share.  Requires a switch key with one digit per chip
-   partition — we materialize it by generating a fresh key whose digit
-   layout is the round-robin partition, which digit-selection freedom
-   makes legitimate (paper: "implementations with all possible choices
-   of digits are interchangeable"). *)
+   the full basis and multiplies by its digit's evalkey; each partial is
+   mod-downed BEFORE aggregating — mod-down and aggregation commute up
+   to rounding noise (paper §4.3.1), and the aggregated payload then
+   spans only Q (l limbs, not l+k).  Requires a switch key with one
+   digit per chip partition — gen_round_robin_key below, legitimate by
+   digit-selection freedom (paper: "implementations with all possible
+   choices of digits are interchangeable").  A share wider than alpha
+   would make the digit product exceed P (the invariant of
+   Params.make), so it is rejected rather than decrypted as noise. *)
+let run_output_aggregation params rr_swk c ~chips cnt =
+  let limbs = Rns_poly.level c in
+  let alpha = params.Params.alpha in
+  let share = Cinnamon_util.Bitops.cdiv limbs chips in
+  if share > alpha then
+    Cinnamon_util.Error.fail Cinnamon_util.Error.Invalid_input
+      (Printf.sprintf
+         "Keyswitch_alg.run: output aggregation puts %d limbs on one of %d chips, more than \
+          alpha = %d"
+         share chips alpha);
+  let partials =
+    List.filter_map
+      (fun chip ->
+        match chip_indices ~chips ~limbs chip with
+        | [] -> None
+        | idx ->
+          Some (Keyswitch_fused.keyswitch_digits params [ Keyswitch_fused.{ limbs = idx; key = chip } ] rr_swk c))
+      (List.init chips Fun.id)
+  in
+  count_aggregate cnt ~limbs ~chips;
+  count_aggregate cnt ~limbs ~chips;
+  match partials with
+  | [] -> assert false (* chip 0 owns limb 0 *)
+  | (k0, k1) :: rest ->
+    List.iter
+      (fun (p0, p1) ->
+        Rns_poly.add_into ~dst:k0 k0 p0;
+        Rns_poly.add_into ~dst:k1 k1 p1)
+      rest;
+    (k0, k1)
 
 (* A switch key for the round-robin digit layout over [chips] chips at
-   level [limbs].  Digit c = limb indices ≡ c (mod chips). *)
+   the top level.  Digit c = limb indices ≡ c (mod chips). *)
 let gen_round_robin_key params sk ~s_from ~chips rng =
   let qp = Params.qp_basis params in
   let n = params.Params.n in
@@ -166,45 +145,6 @@ let gen_round_robin_key params sk ~s_from ~chips rng =
     Keys.swk_b = Array.of_list (List.map fst pairs);
     Keys.swk_a = Array.of_list (List.map snd pairs);
   }
-
-let run_output_aggregation params rr_swk c ~chips cnt =
-  let q_l = Rns_poly.basis c in
-  let limbs = Basis.size q_l in
-  let p_basis = params.Params.p_basis in
-  let target = Basis.union q_l p_basis in
-  let n = Rns_poly.n c in
-  (* Per chip: extend own digit to the full basis, multiply by evalkey. *)
-  let partials =
-    List.init chips (fun chip ->
-        let idx = chip_indices ~chips ~limbs chip in
-        if idx = [] then None
-        else begin
-          let digit = Rns_poly.restrict c (Basis.sub q_l idx) in
-          let extended = Keyswitch.extend_digit digit ~target in
-          let b = Rns_poly.restrict rr_swk.Keys.swk_b.(chip) target in
-          let a = Rns_poly.restrict rr_swk.Keys.swk_a.(chip) target in
-          Some (Rns_poly.mul extended b, Rns_poly.mul extended a)
-        end)
-  in
-  (* Mod-down each chip's partial BEFORE aggregating — mod-down and
-     aggregation commute up to rounding noise (paper §4.3.1), and the
-     aggregated payload then spans only Q (l limbs, not l+k). *)
-  let down =
-    List.map
-      (Option.map (fun (f0, f1) ->
-           ( Mod_updown.mod_down f0 ~target:q_l ~ext:p_basis,
-             Mod_updown.mod_down f1 ~target:q_l ~ext:p_basis )))
-      partials
-  in
-  count_aggregate cnt ~limbs ~chips;
-  count_aggregate cnt ~limbs ~chips;
-  let sum sel =
-    List.fold_left
-      (fun acc p -> match p with None -> acc | Some pair -> Rns_poly.add acc (sel pair))
-      (Rns_poly.create ~n ~basis:q_l ~domain:Rns_poly.Eval)
-      down
-  in
-  (sum fst, sum snd)
 
 (* --- dispatcher ----------------------------------------------------------- *)
 

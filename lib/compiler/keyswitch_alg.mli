@@ -1,11 +1,13 @@
-(** The parallel keyswitching algorithms (paper §4.3.1, Fig. 8) as
-    functional reference implementations over real RNS polynomials with
-    explicit per-chip placement and communication counting.
+(** The parallel keyswitching algorithms (paper §4.3.1, Fig. 8) over
+    real RNS polynomials.  Every algorithm runs on the fused engine
+    ({!Cinnamon_ckks.Keyswitch_fused}) and counts its inter-chip
+    communication with the paper's analytic formulas.
 
-    Input-broadcast is bit-identical to sequential keyswitching;
-    output-aggregation (digits = chip partitions) is decrypt-equivalent;
-    CiFHER-style is bit-identical with 3x the collectives — all
-    asserted by tests. *)
+    Input broadcast and CiFHER are bit-identical to sequential
+    keyswitching; output aggregation (digits = chip partitions) is
+    decrypt-equivalent to it and bit-identical to its per-chip
+    whole-polynomial reference — all asserted by tests against the
+    references under [test/oracle]. *)
 
 open Cinnamon_rns
 open Cinnamon_ckks
@@ -17,27 +19,9 @@ type comm_counter = {
 }
 
 val new_counter : unit -> comm_counter
-val count_broadcast : comm_counter -> limbs:int -> chips:int -> unit
-val count_aggregate : comm_counter -> limbs:int -> chips:int -> unit
 
-(** Round-robin limb ownership (paper §4.3.1): limb i on chip i mod n. *)
-val owner : chips:int -> int -> int
-
-val chip_indices : chips:int -> limbs:int -> int -> int list
-
-(** CiFHER-style: broadcast at mod-up and twice at mod-down. *)
-val run_cifher :
-  Params.t -> Keys.switch_key -> Rns_poly.t -> chips:int -> comm_counter ->
-  Rns_poly.t * Rns_poly.t
-
-(** Cinnamon input-broadcast (Fig. 8b): one broadcast, extension limbs
-    duplicated; bit-identical to sequential. *)
-val run_input_broadcast :
-  Params.t -> Keys.switch_key -> Rns_poly.t -> chips:int -> comm_counter ->
-  Rns_poly.t * Rns_poly.t
-
-(** Switch key whose digits are the round-robin chip partition (legal
-    by digit-selection freedom). *)
+(** Switch key whose digits are the round-robin chip partition of the
+    top-level limbs (legal by digit-selection freedom). *)
 val gen_round_robin_key :
   Params.t ->
   Keys.secret_key ->
@@ -46,15 +30,12 @@ val gen_round_robin_key :
   Cinnamon_util.Rng.t ->
   Keys.switch_key
 
-(** Cinnamon output-aggregation (Fig. 8c): no input communication; two
-    aggregations of the mod-downed partials. *)
-val run_output_aggregation :
-  Params.t -> Keys.switch_key -> Rns_poly.t -> chips:int -> comm_counter ->
-  Rns_poly.t * Rns_poly.t
-
 type key_material = Standard of Keys.switch_key | Round_robin of Keys.switch_key
 
-(** Dispatch on algorithm; raises on an algorithm/key mismatch. *)
+(** Keyswitch [c] with [algorithm] across [chips], adding its
+    communication to the counter.  Raises [Cinnamon_util.Error]
+    [Invalid_input] on an algorithm/key mismatch, and for output
+    aggregation when a chip's share of [c]'s limbs exceeds alpha. *)
 val run :
   Params.t ->
   algorithm:Cinnamon_ir.Poly_ir.ks_algorithm ->

@@ -243,7 +243,7 @@ let test_keyswitch_relinearizes () =
   let params, sk, _, ek, _ = Lazy.force env in
   let rng = Rng.create ~seed:63 in
   let c = Cinnamon_rns.Rns_poly.random ~n:params.Params.n ~basis:params.Params.q_basis ~domain:Cinnamon_rns.Rns_poly.Eval rng in
-  let k0, k1 = Keyswitch.keyswitch params ek.Keys.relin c in
+  let k0, k1 = Cinnamon_oracle.Keyswitch.keyswitch params ek.Keys.relin c in
   let s = Keys.sk_over sk params.Params.q_basis in
   let lhs = Cinnamon_rns.Rns_poly.add k0 (Cinnamon_rns.Rns_poly.mul k1 s) in
   let rhs = Cinnamon_rns.Rns_poly.mul c (Cinnamon_rns.Rns_poly.mul s s) in
@@ -260,7 +260,7 @@ let test_keyswitch_at_lower_level () =
   let rng = Rng.create ~seed:64 in
   let basis = Params.basis_at_level params 4 in
   let c = Cinnamon_rns.Rns_poly.random ~n:params.Params.n ~basis ~domain:Cinnamon_rns.Rns_poly.Eval rng in
-  let k0, k1 = Keyswitch.keyswitch params ek.Keys.relin c in
+  let k0, k1 = Cinnamon_oracle.Keyswitch.keyswitch params ek.Keys.relin c in
   let s = Keys.sk_over sk basis in
   let lhs = Cinnamon_rns.Rns_poly.add k0 (Cinnamon_rns.Rns_poly.mul k1 s) in
   let rhs = Cinnamon_rns.Rns_poly.mul c (Cinnamon_rns.Rns_poly.mul s s) in

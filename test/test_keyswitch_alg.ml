@@ -1,12 +1,15 @@
 (* Tests for the parallel keyswitching algorithms (paper §4.3.1,
-   Fig. 8): functional equivalence with the sequential reference and
-   the communication accounting behind §7.4's algorithmic analysis. *)
+   Fig. 8): bitwise equality of Keyswitch_alg.run (fused engine) with
+   the whole-polynomial references in Cinnamon_oracle, and the
+   communication accounting behind §7.4's algorithmic analysis. *)
 
 open Cinnamon_ckks
 open Cinnamon_rns
 open Cinnamon_compiler
 module Rng = Cinnamon_util.Rng
 module KA = Keyswitch_alg
+module Oracle = Cinnamon_oracle
+module P = Cinnamon_ir.Poly_ir
 
 let env =
   lazy
@@ -19,9 +22,14 @@ let env =
      let rr3 = KA.gen_round_robin_key params sk ~s_from:(Rns_poly.mul s s) ~chips:3 rng in
      (params, sk, relin, rr4, rr3))
 
-let random_input ?(seed = 7) params =
+let random_input ?(seed = 7) ?level params =
   let rng = Rng.create ~seed in
-  Rns_poly.random ~n:params.Params.n ~basis:params.Params.q_basis ~domain:Rns_poly.Eval rng
+  let level = Option.value level ~default:params.Params.levels in
+  Rns_poly.random ~n:params.Params.n
+    ~basis:(Params.basis_at_level params level)
+    ~domain:Rns_poly.Eval rng
+
+let pair_equal (a0, a1) (b0, b1) = Rns_poly.equal a0 b0 && Rns_poly.equal a1 b1
 
 let decrypt_diff params sk (k0a, k1a) (k0b, k1b) =
   let s = Keys.sk_over sk (Rns_poly.basis k0a) in
@@ -39,29 +47,73 @@ let decrypt_diff params sk (k0a, k1a) (k0b, k1b) =
 let test_input_broadcast_bit_exact () =
   let params, _, relin, _, _ = Lazy.force env in
   let c = random_input params in
-  let seq = Keyswitch.keyswitch params relin c in
+  let seq = Oracle.Keyswitch.keyswitch params relin c in
   let cnt = KA.new_counter () in
-  let par = KA.run_input_broadcast params relin c ~chips:4 cnt in
+  let par = KA.run params ~algorithm:P.Input_broadcast ~chips:4 ~key:(KA.Standard relin) c cnt in
   Alcotest.(check bool) "k0 identical" true (Rns_poly.equal (fst seq) (fst par));
   Alcotest.(check bool) "k1 identical" true (Rns_poly.equal (snd seq) (snd par))
 
-let test_input_broadcast_any_chip_count () =
-  let params, _, relin, _, _ = Lazy.force env in
-  let c = random_input ~seed:8 params in
-  let seq = Keyswitch.keyswitch params relin c in
+(* --- differential: run = the oracle references, bitwise ------------------ *)
+
+(* Every algorithm through [run] against its per-chip whole-polynomial
+   reference, and input broadcast and CiFHER also against the
+   sequential oracle: a relinearization and a rotation key, the full
+   level and a truncated prefix, chips 1..8.  Output aggregation runs
+   wherever a chip's share fits alpha and must be rejected elsewhere. *)
+let test_run_matches_oracles () =
+  let params, sk, relin, _, _ = Lazy.force env in
+  let rng = Rng.create ~seed:505 in
+  let s = Keys.sk_over sk (Params.qp_basis params) in
+  let rot3 = Keys.gen_rotation_key params sk ~rot:3 rng in
+  let s_rot3 = Rns_poly.automorphism s ~k:(Keys.galois_of_rotation ~n:params.Params.n 3) in
+  let chip_counts = [ 1; 2; 3; 4; 8 ] in
   List.iter
-    (fun chips ->
-      let cnt = KA.new_counter () in
-      let par = KA.run_input_broadcast params relin c ~chips cnt in
-      Alcotest.(check bool) (Printf.sprintf "%d chips" chips) true
-        (Rns_poly.equal (fst seq) (fst par) && Rns_poly.equal (snd seq) (snd par)))
-    [ 1; 2; 3; 8 ]
+    (fun (kname, swk, s_from) ->
+      let rr =
+        List.map
+          (fun chips -> (chips, KA.gen_round_robin_key params sk ~s_from ~chips rng))
+          chip_counts
+      in
+      List.iter
+        (fun level ->
+          let c = random_input ~seed:(30 + level) ~level params in
+          let limbs = level + 1 in
+          let seq = Oracle.Keyswitch.keyswitch params swk c in
+          List.iter
+            (fun chips ->
+              let label = Printf.sprintf "%s level %d, %d chips" kname level chips in
+              let run algorithm key = KA.run params ~algorithm ~chips ~key c (KA.new_counter ()) in
+              let ib = run P.Input_broadcast (KA.Standard swk) in
+              let cf = run P.Cifher_broadcast (KA.Standard swk) in
+              Alcotest.(check bool) (label ^ ": input-broadcast = sequential oracle") true
+                (pair_equal ib seq);
+              Alcotest.(check bool) (label ^ ": input-broadcast = per-chip reference") true
+                (pair_equal ib (Oracle.Keyswitch_alg_ref.input_broadcast params swk c ~chips));
+              Alcotest.(check bool) (label ^ ": cifher = sequential oracle") true
+                (pair_equal cf seq);
+              Alcotest.(check bool) (label ^ ": cifher = reference") true
+                (pair_equal cf (Oracle.Keyswitch_alg_ref.cifher params swk c ~chips));
+              let rr_swk = List.assoc chips rr in
+              if Cinnamon_util.Bitops.cdiv limbs chips <= params.Params.alpha then
+                Alcotest.(check bool) (label ^ ": output-agg = per-chip reference") true
+                  (pair_equal
+                     (run P.Output_aggregation (KA.Round_robin rr_swk))
+                     (Oracle.Keyswitch_alg_ref.output_aggregation params rr_swk c ~chips))
+              else
+                match run P.Output_aggregation (KA.Round_robin rr_swk) with
+                | _ -> Alcotest.failf "%s: output-agg share > alpha must be rejected" label
+                | exception Cinnamon_util.Error.Error e ->
+                  Alcotest.(check bool) (label ^ ": typed rejection") true
+                    (e.Cinnamon_util.Error.kind = Cinnamon_util.Error.Invalid_input))
+            chip_counts)
+        [ params.Params.levels; 5 ])
+    [ ("relin", relin, Rns_poly.mul s s); ("rot 3", rot3, s_rot3) ]
 
 let test_input_broadcast_comm () =
   let params, _, relin, _, _ = Lazy.force env in
   let c = random_input ~seed:9 params in
   let cnt = KA.new_counter () in
-  ignore (KA.run_input_broadcast params relin c ~chips:4 cnt);
+  ignore (KA.run params ~algorithm:P.Input_broadcast ~chips:4 ~key:(KA.Standard relin) c cnt);
   Alcotest.(check int) "exactly 1 broadcast" 1 cnt.KA.n_broadcast;
   Alcotest.(check int) "no aggregations" 0 cnt.KA.n_aggregate;
   (* l limbs reach 3 other chips each *)
@@ -72,9 +124,9 @@ let test_input_broadcast_comm () =
 let test_output_aggregation_equivalent () =
   let params, sk, relin, rr4, _ = Lazy.force env in
   let c = random_input ~seed:10 params in
-  let seq = Keyswitch.keyswitch params relin c in
+  let seq = Oracle.Keyswitch.keyswitch params relin c in
   let cnt = KA.new_counter () in
-  let par = KA.run_output_aggregation params rr4 c ~chips:4 cnt in
+  let par = KA.run params ~algorithm:P.Output_aggregation ~chips:4 ~key:(KA.Round_robin rr4) c cnt in
   (* different digit decomposition => different noise, same plaintext *)
   let err = decrypt_diff params sk seq par in
   Alcotest.(check bool)
@@ -85,26 +137,51 @@ let test_output_aggregation_comm () =
   let params, _, _, rr4, _ = Lazy.force env in
   let c = random_input ~seed:11 params in
   let cnt = KA.new_counter () in
-  ignore (KA.run_output_aggregation params rr4 c ~chips:4 cnt);
+  ignore (KA.run params ~algorithm:P.Output_aggregation ~chips:4 ~key:(KA.Round_robin rr4) c cnt);
   Alcotest.(check int) "exactly 2 aggregations" 2 cnt.KA.n_aggregate;
-  Alcotest.(check int) "no broadcasts" 0 cnt.KA.n_broadcast
+  Alcotest.(check int) "no broadcasts" 0 cnt.KA.n_broadcast;
+  (* each reduce-scatter moves l*(chips-1) limbs: 9*3 = 27, which 4
+     chips do not divide *)
+  Alcotest.(check int) "limbs moved" (2 * 27) cnt.KA.limbs_moved
 
 let test_output_aggregation_odd_chips () =
   let params, sk, relin, _, rr3 = Lazy.force env in
   let c = random_input ~seed:12 params in
-  let seq = Keyswitch.keyswitch params relin c in
+  let seq = Oracle.Keyswitch.keyswitch params relin c in
   let cnt = KA.new_counter () in
-  let par = KA.run_output_aggregation params rr3 c ~chips:3 cnt in
+  let par = KA.run params ~algorithm:P.Output_aggregation ~chips:3 ~key:(KA.Round_robin rr3) c cnt in
   Alcotest.(check bool) "3-chip digits" true (decrypt_diff params sk seq par < 1e12)
+
+(* At 2 chips a chip holds ceil(9/2) = 5 limbs of Params.small, more
+   than alpha = 3: the digit product would exceed P and decrypt as
+   noise, so the run is rejected. *)
+let test_output_aggregation_share_exceeds_alpha () =
+  let params, sk, _, _, _ = Lazy.force env in
+  let s = Keys.sk_over sk (Params.qp_basis params) in
+  let rr2 =
+    KA.gen_round_robin_key params sk ~s_from:(Rns_poly.mul s s) ~chips:2 (Rng.create ~seed:17)
+  in
+  let c = random_input ~seed:16 params in
+  match
+    KA.run params ~algorithm:P.Output_aggregation ~chips:2 ~key:(KA.Round_robin rr2) c
+      (KA.new_counter ())
+  with
+  | _ -> Alcotest.fail "expected a typed invalid-input error"
+  | exception Cinnamon_util.Error.Error e ->
+    Alcotest.(check string)
+      "typed invalid-input error"
+      "invalid-input: Keyswitch_alg.run: output aggregation puts 5 limbs on one of 2 chips, more \
+       than alpha = 3"
+      (Cinnamon_util.Error.to_string e)
 
 (* --- CiFHER --------------------------------------------------------------- *)
 
 let test_cifher_exact_and_3_broadcasts () =
   let params, _, relin, _, _ = Lazy.force env in
   let c = random_input ~seed:13 params in
-  let seq = Keyswitch.keyswitch params relin c in
+  let seq = Oracle.Keyswitch.keyswitch params relin c in
   let cnt = KA.new_counter () in
-  let par = KA.run_cifher params relin c ~chips:4 cnt in
+  let par = KA.run params ~algorithm:P.Cifher_broadcast ~chips:4 ~key:(KA.Standard relin) c cnt in
   Alcotest.(check bool) "bit-exact" true (Rns_poly.equal (fst seq) (fst par));
   Alcotest.(check int) "3 broadcasts" 3 cnt.KA.n_broadcast
 
@@ -151,7 +228,7 @@ let test_parallel_rotation_correct () =
   let c0r = Rns_poly.automorphism ct.Ciphertext.c0 ~k in
   let c1r = Rns_poly.automorphism ct.Ciphertext.c1 ~k in
   let cnt = KA.new_counter () in
-  let k0, k1 = KA.run_input_broadcast params swk c1r ~chips:4 cnt in
+  let k0, k1 = KA.run params ~algorithm:P.Input_broadcast ~chips:4 ~key:(KA.Standard swk) c1r cnt in
   let rotated =
     Ciphertext.make ~c0:(Rns_poly.add c0r k0) ~c1:k1 ~scale:(Ciphertext.scale ct)
       ~slots:(Ciphertext.slots ct)
@@ -165,11 +242,13 @@ let suite =
   ( "keyswitch-alg",
     [
       Alcotest.test_case "input-broadcast bit-exact" `Quick test_input_broadcast_bit_exact;
-      Alcotest.test_case "input-broadcast chip counts" `Slow test_input_broadcast_any_chip_count;
+      Alcotest.test_case "run = oracle references" `Quick test_run_matches_oracles;
       Alcotest.test_case "input-broadcast comm" `Quick test_input_broadcast_comm;
       Alcotest.test_case "output-agg equivalent" `Quick test_output_aggregation_equivalent;
       Alcotest.test_case "output-agg comm" `Quick test_output_aggregation_comm;
       Alcotest.test_case "output-agg 3 chips" `Quick test_output_aggregation_odd_chips;
+      Alcotest.test_case "output-agg share > alpha" `Quick
+        test_output_aggregation_share_exceeds_alpha;
       Alcotest.test_case "cifher exact + comm" `Quick test_cifher_exact_and_3_broadcasts;
       Alcotest.test_case "dispatcher key check" `Quick test_dispatcher_rejects_mismatch;
       Alcotest.test_case "dispatcher routing" `Quick test_dispatcher_routes;

@@ -5,12 +5,13 @@
    cross-digit accumulation — every one of those rewrites claims
    BITWISE equality with the plain formulation, so these tests pin:
 
-     - fused keyswitch = Keyswitch.keyswitch (the oracle) across every
-       level prefix of the modulus chain and across dnum = 1..4 digit
-       layouts (partial last digits included);
-     - fused hoisted rotation = the retained reference hoisting path
-       (extend_digit + automorphism + canonical inner product +
-       Mod_updown.mod_down), bitwise;
+     - fused keyswitch = Cinnamon_oracle.Keyswitch.keyswitch (the
+       whole-polynomial oracle) across every level prefix of the
+       modulus chain and across dnum = 1..4 digit layouts (partial last
+       digits included);
+     - fused hoisted rotation = the reference hoisting path in
+       Cinnamon_oracle.Hoisting_ref (extend_digit + automorphism +
+       canonical inner product + whole-polynomial mod-down), bitwise;
      - jobs=1 vs jobs=4 bit-identity for both;
      - rotate_sum (one mod-down for the whole batch) decrypts to the
        sum of individual rotations within CKKS noise. *)
@@ -19,6 +20,7 @@ open Cinnamon_ckks
 open Cinnamon_rns
 module Rng = Cinnamon_util.Rng
 module Pool = Cinnamon_pool.Pool
+module Oracle = Cinnamon_oracle
 
 let with_pool jobs f =
   let p = Pool.create ~jobs () in
@@ -48,7 +50,7 @@ let test_fused_matches_oracle_all_levels () =
   let relin = ek.Keys.relin in
   for level = 0 to params.Params.levels do
     let c = random_eval ~seed:(100 + level) params ~level in
-    let oracle = Keyswitch.keyswitch params relin c in
+    let oracle = Oracle.Keyswitch.keyswitch params relin c in
     let fused = Keyswitch_fused.keyswitch params relin c in
     Alcotest.(check bool)
       (Printf.sprintf "level %d bitwise" level)
@@ -70,7 +72,7 @@ let test_fused_matches_oracle_dnum_sweep () =
       List.iter
         (fun level ->
           let c = random_eval ~seed:(40 + dnum + level) params ~level in
-          let oracle = Keyswitch.keyswitch params relin c in
+          let oracle = Oracle.Keyswitch.keyswitch params relin c in
           let fused = Keyswitch_fused.keyswitch params relin c in
           Alcotest.(check bool)
             (Printf.sprintf "dnum=%d level=%d bitwise" dnum level)
@@ -103,12 +105,12 @@ let test_hoisted_fused_matches_reference () =
   let params, _, pk, ek = Lazy.force env in
   let _, ct = encrypt_test_vector params pk in
   let pre = Hoisting.precompute params ct.Ciphertext.c1 in
-  let pre_ref = Hoisting.precompute_ref params ct.Ciphertext.c1 in
+  let pre_ref = Oracle.Hoisting_ref.precompute_ref params ct.Ciphertext.c1 in
   List.iter
     (fun rot ->
       let swk = Keys.find_rotation_key ek (Keys.canonical_rotation ~n:(Ciphertext.n ct) rot) in
       let fused = Hoisting.rotate_hoisted params pre swk ct ~rot in
-      let refr = Hoisting.rotate_hoisted_ref params pre_ref swk ct ~rot in
+      let refr = Oracle.Hoisting_ref.rotate_hoisted_ref params pre_ref swk ct ~rot in
       Alcotest.(check bool)
         (Printf.sprintf "rot %d bitwise" rot)
         true

@@ -445,7 +445,7 @@ let test_mod_down_divides () =
   in
   let qp = Basis.union target ext in
   let y = Rns_poly.random ~n:n_test ~basis:qp ~domain:Rns_poly.Coeff rng in
-  let z = Mod_updown.mod_down y ~target ~ext in
+  let z = Cinnamon_oracle.Mod_updown.mod_down y ~target ~ext in
   (* y_Q - P*z must be small: in [-(slack+1)*P, (slack+1)*P] *)
   let p_prod = Basis.product ext in
   let pscal = Array.init (Basis.size target) (fun j -> B.rem_small p_prod (Basis.value target j)) in
@@ -462,7 +462,7 @@ let test_mod_up_consistent () =
     Basis.of_primes (Prime_gen.gen_primes ~bits:29 ~n:n_test ~count:2 ~avoid:(Lazy.force primes) ())
   in
   let x = Rns_poly.random ~n:n_test ~basis:s ~domain:Rns_poly.Coeff rng in
-  let up = Mod_updown.mod_up x ~ext in
+  let up = Cinnamon_oracle.Mod_updown.mod_up x ~ext in
   (* original limbs carried over verbatim *)
   Alcotest.(check (array int)) "limb 0 preserved" (limb_arr x 0) (limb_arr up 0);
   Alcotest.(check int) "extended size" 4 (Rns_poly.level up)
