@@ -10,22 +10,32 @@
    Usage: main.exe [section ...] [--jobs N] [--quick] [--cache-dir DIR]
                    [--bench-out FILE] [--trace FILE] [--metrics]
      sections: table1 table2 table3 fig6 fig11 fig12 fig13 fig14 fig15
-               fig16 sec43 sec74 micro kernels serve fleet   (default: all)
+               fig16 sec43 sec74 ablation characterize energy micro
+               kernels nn   (default: all)
      --jobs N        worker domains for the Table-2/Fig-11 sweep
                      (0 = Domain.recommended_domain_count; 1 = sequential)
      --quick         restrict the sweep to the Bootstrap benchmark,
-                     shrink the kernel microbench to N=2^12 and the
-                     serving load test and fleet sweep to their quick
-                     presets, and default the section list to
-                     "table2 kernels serve fleet" (CI smoke run)
+                     shrink the kernel microbench to N=2^12, and
+                     default the section list to "table2 kernels nn"
+                     (CI smoke run)
      --cache-dir DIR persist simulation results under DIR
                      (conventionally _cinnamon_cache/); warm runs skip
                      re-simulation entirely
-     --bench-out F   where to write the perf-trajectory JSON
-                     (default BENCH_cinnamon.json; "-" disables)
+     --bench-out F   the perf artifact the recording sections merge
+                     into (default BENCH_cinnamon.json; "-" disables)
      --trace FILE    write a Chrome trace-event JSON of the run
      --metrics       print the telemetry report (pass timings, counters,
                      simulation-cache hits/misses) after the sections
+
+   An unknown section name exits 2 before any section runs.
+
+   Three sections record into the perf artifact, each merging only its
+   own keys through Cinnamon_exec.Bench_file: the Table-2 sweep writes
+   "kernels" and "benchmarks", kernels writes "kernel_microbench", and
+   nn writes "nn_frontend".  A run that recorded anything then merges
+   the header keys (generated_by, jobs, quick, wall_seconds, cache);
+   every other section of the file (the serving sections written by
+   `cinnamon serve-sim` and `cinnamon serve-fleet`) is kept as is.
 
    Run time for the full set is dominated by kernel compilation; the
    result cache in Cinnamon_exec shares compiled+simulated kernels
@@ -45,6 +55,14 @@ let jobs = ref 0 (* 0 = Pool.default_jobs () *)
 let quick = ref false
 
 let section_header name = Printf.printf "\n################ %s ################\n%!" name
+
+(* The perf artifact and the keys this run merged into it, in order. *)
+let bench_out = ref "BENCH_cinnamon.json"
+let recorded : string list ref = ref []
+
+let record key json =
+  recorded := !recorded @ [ key ];
+  if !bench_out <> "-" then Exec.Bench_file.merge_section ~file:!bench_out key (fun _ -> json)
 
 (* ---------------------------------------------------------------- Table 1 *)
 
@@ -132,7 +150,30 @@ let run_table2 () =
         Hashtbl.replace measured_util (r.Runner.br_bench, r.Runner.br_system) r.Runner.br_util;
         Printf.printf "  (table2: %s on %s done)\n%!" r.Runner.br_bench r.Runner.br_system)
       sw.Runner.sw_results;
-    sweep_state := Some sw
+    sweep_state := Some sw;
+    record "kernels"
+      (Json.List
+         (List.map
+            (fun (k : Runner.kernel_time) ->
+              Json.Obj
+                [
+                  ("kernel", Json.Str k.Runner.kt_kernel);
+                  ("system", Json.Str k.Runner.kt_system);
+                  ("cycles", Json.Int k.Runner.kt_result.Sim.cycles);
+                  ("seconds", Json.Float k.Runner.kt_result.Sim.seconds);
+                ])
+            sw.Runner.sw_kernels));
+    record "benchmarks"
+      (Json.List
+         (List.map
+            (fun (r : Runner.bench_result) ->
+              Json.Obj
+                [
+                  ("bench", Json.Str r.Runner.br_bench);
+                  ("system", Json.Str r.Runner.br_system);
+                  ("seconds", Json.Float r.Runner.br_seconds);
+                ])
+            sw.Runner.sw_results))
   end
 
 let table2 () =
@@ -602,17 +643,6 @@ let energy () =
 
 (* ---------------------------------------------- graph front-end (lib/nn) *)
 
-type nn_entry = {
-  ne_workload : string;
-  ne_compile_ms : float; (* plan + lower wall time *)
-  ne_rot_planned : int;
-  ne_ks_planned : int;
-  ne_rot_naive : int option; (* all-column packing; None where not pow2-legal *)
-  ne_cycles : int; (* simulated on Cinnamon-4 *)
-}
-
-let nn_entries : nn_entry list ref = ref []
-
 (* The packing optimizer against naive column packing, per graph
    workload: planned rotations/keyswitches, compile (plan+lower) time,
    and simulated Cinnamon-4 cycles.  The bert-encoder advantage is a
@@ -626,46 +656,49 @@ let nn () =
       ~header:[ "Workload"; "Compile"; "Rotations"; "Keyswitches"; "Naive rot"; "Cycles" ]
       ~aligns:(T.Left :: List.init 5 (fun _ -> T.Right)) ()
   in
-  List.iter
-    (fun (name, k) ->
-      let g = match k with Specs.K_graph g -> g | _ -> assert false in
-      let t0 = Unix.gettimeofday () in
-      let plan = Plan.make g in
-      let prog = Lower.lower ~plan g in
-      let compile_ms = 1e3 *. (Unix.gettimeofday () -. t0) in
-      ignore prog;
-      let naive =
-        match Plan.make ~policy:Plan.Naive_column g with
-        | p -> Some p.Plan.pl_rotations
-        | exception Invalid_argument _ -> None (* non-pow2 layer: column illegal *)
-      in
-      let res = Runner.simulate_kernel Runner.cinnamon_4 k in
-      (match (name, naive) with
-      | "bert-encoder", Some n when plan.Plan.pl_rotations >= n ->
-        failwith
-          (Printf.sprintf
-             "nn section: planner no longer beats naive column packing on %s (%d >= %d rotations)"
-             name plan.Plan.pl_rotations n)
-      | "bert-encoder", None -> failwith "nn section: bert-encoder lost its naive baseline"
-      | _ -> ());
-      T.add_row t
-        [ name; Printf.sprintf "%.1f ms" compile_ms;
-          string_of_int plan.Plan.pl_rotations;
-          string_of_int (Plan.keyswitches plan);
-          (match naive with Some n -> string_of_int n | None -> "-");
-          string_of_int res.Sim.cycles ];
-      nn_entries :=
-        {
-          ne_workload = name;
-          ne_compile_ms = compile_ms;
-          ne_rot_planned = plan.Plan.pl_rotations;
-          ne_ks_planned = Plan.keyswitches plan;
-          ne_rot_naive = naive;
-          ne_cycles = res.Sim.cycles;
-        }
-        :: !nn_entries)
-    Specs.graph_kernels;
-  T.print t
+  let entries =
+    List.map
+      (fun (name, k) ->
+        let g = match k with Specs.K_graph g -> g | _ -> assert false in
+        let t0 = Unix.gettimeofday () in
+        let plan = Plan.make g in
+        let prog = Lower.lower ~plan g in
+        let compile_ms = 1e3 *. (Unix.gettimeofday () -. t0) in
+        ignore prog;
+        let naive =
+          match Plan.make ~policy:Plan.Naive_column g with
+          | p -> Some p.Plan.pl_rotations
+          | exception Invalid_argument _ -> None (* non-pow2 layer: column illegal *)
+        in
+        let res = Runner.simulate_kernel Runner.cinnamon_4 k in
+        (match (name, naive) with
+        | "bert-encoder", Some n when plan.Plan.pl_rotations >= n ->
+          failwith
+            (Printf.sprintf
+               "nn section: planner no longer beats naive column packing on %s (%d >= %d rotations)"
+               name plan.Plan.pl_rotations n)
+        | "bert-encoder", None -> failwith "nn section: bert-encoder lost its naive baseline"
+        | _ -> ());
+        T.add_row t
+          [ name; Printf.sprintf "%.1f ms" compile_ms;
+            string_of_int plan.Plan.pl_rotations;
+            string_of_int (Plan.keyswitches plan);
+            (match naive with Some n -> string_of_int n | None -> "-");
+            string_of_int res.Sim.cycles ];
+        Json.Obj
+          ([
+             ("workload", Json.Str name);
+             ("compile_ms", Json.Float compile_ms);
+             ("rotations_planned", Json.Int plan.Plan.pl_rotations);
+             ("keyswitches_planned", Json.Int (Plan.keyswitches plan));
+             ("cycles", Json.Int res.Sim.cycles);
+           ]
+          @
+          match naive with Some n -> [ ("rotations_naive_column", Json.Int n) ] | None -> []))
+      Specs.graph_kernels
+  in
+  T.print t;
+  record "nn_frontend" (Json.List entries)
 
 (* --------------------------------------------------------- microbenchmarks *)
 
@@ -745,27 +778,8 @@ let micro () =
    against the Coeff-domain oracle and FAILS the run on any mismatch —
    CI treats microbench errors as job failures. *)
 
-type micro_entry = {
-  me_kernel : string;
-  me_n : int;
-  me_limbs : int;
-  me_us : float;
-  me_bytes : int; (* bytes streamed per op; 0 = not a bandwidth kernel *)
-}
-
-let micro_entries : micro_entry list ref = ref []
-
 (* Effective memory bandwidth of one op: bytes streamed / wall time. *)
 let gbps_of ~bytes us = if bytes = 0 || us <= 0.0 then 0.0 else Float.of_int bytes /. us /. 1000.0
-
-let record_micro ?(bytes = 0) ~kernel ~n ~limbs us =
-  micro_entries :=
-    { me_kernel = kernel; me_n = n; me_limbs = limbs; me_us = us; me_bytes = bytes }
-    :: !micro_entries;
-  let bw = if bytes = 0 then "" else Printf.sprintf "  %6.2f GB/s" (gbps_of ~bytes us) in
-  Printf.printf "  %-34s %12.2f us/op%s  (N=2^%d, limbs=%d)\n%!" kernel us bw
-    (Cinnamon_util.Bitops.log2_exact n)
-    limbs
 
 let kernels () =
   section_header
@@ -779,6 +793,25 @@ let kernels () =
       ignore (f ())
     done;
     (Unix.gettimeofday () -. t0) /. Float.of_int reps
+  in
+  (* kernel_microbench entries, newest first *)
+  let entries = ref [] in
+  let record_micro ?(bytes = 0) ~kernel ~n ~limbs us =
+    let gbps = if bytes = 0 then [] else [ ("gbps", Json.Float (gbps_of ~bytes us)) ] in
+    entries :=
+      Json.Obj
+        ([
+           ("kernel", Json.Str kernel);
+           ("n", Json.Int n);
+           ("limbs", Json.Int limbs);
+           ("us_per_op", Json.Float us);
+         ]
+        @ gbps)
+      :: !entries;
+    let bw = if bytes = 0 then "" else Printf.sprintf "  %6.2f GB/s" (gbps_of ~bytes us) in
+    Printf.printf "  %-34s %12.2f us/op%s  (N=2^%d, limbs=%d)\n%!" kernel us bw
+      (Cinnamon_util.Bitops.log2_exact n)
+      limbs
   in
   let n = if !quick then 1 lsl 12 else 1 lsl 16 in
   let limbs = if !quick then 3 else 6 in
@@ -916,191 +949,8 @@ let kernels () =
     (plain_us /. hoisted_us);
   Printf.printf "  hoisted: %d rotations in %.0f us vs %.0f us unhoisted (%.2fx)\n%!" nrot
     hoisted_us plain_us (plain_us /. hoisted_us);
-  Option.iter Exec.Pool.shutdown pool
-
-(* ------------------------------------------------------- serving layer *)
-
-(* The encrypted-inference serving load test (a one-node fleet):
-   Poisson open-loop arrivals played through the admission queue,
-   dynamic batcher and virtual-time scheduler, with real compile+simulate work
-   behind each batch.  Records latency percentiles, goodput and shed
-   rate into BENCH_cinnamon.json (serve_loadtest section) so the
-   serving SLOs have a trajectory across commits. *)
-
-let serve_results : Cinnamon_fleet.Loadtest.result list ref = ref []
-
-let serve () =
-  section_header
-    (Printf.sprintf "Serving load test (%s preset)" (if !quick then "quick" else "default"));
-  let open Cinnamon_fleet in
-  let module Slo = Cinnamon_serve.Slo in
-  let base = if !quick then Loadtest.quick else Loadtest.default in
-  let cfg = { base with Loadtest.lg_jobs = !jobs } in
-  let r = Loadtest.run cfg in
-  Loadtest.print_result r;
-  serve_results := !serve_results @ [ r ];
-  let rp = r.Loadtest.lr_report in
-  if rp.Slo.rp_completed > 0 && rp.Slo.rp_compiles >= rp.Slo.rp_admitted then
-    Printf.printf
-      "  WARNING: batching did not amortize compiles (%d compiles for %d admitted)\n%!"
-      rp.Slo.rp_compiles rp.Slo.rp_admitted
-
-(* The fleet-scale serving sweep (lib/fleet): scaling-efficiency curves
-   per routing policy under Poisson and diurnal traces, plus the
-   autoscaler demo.  The standard preset keeps the harness's wall time
-   bounded; the full 1..64-node million-request sweep runs via
-   `cinnamon serve-fleet`. *)
-
-let fleet_result : Cinnamon_fleet.Fleet_bench.result option ref = ref None
-
-let fleet () =
-  section_header
-    (Printf.sprintf "Serving fleet sweep (%s preset)" (if !quick then "quick" else "standard"));
-  let open Cinnamon_fleet in
-  let base = Fleet_bench.quick in
-  let cfg =
-    if !quick then { base with Fleet_bench.fb_jobs = !jobs }
-    else
-      { base with Fleet_bench.fb_nodes = [ 1; 2; 4; 8; 16 ]; fb_requests = 6_000; fb_jobs = !jobs }
-  in
-  let r = Fleet_bench.run cfg in
-  Fleet_bench.print_result r;
-  fleet_result := Some r;
-  (* the locality curve exists to beat round-robin on warm-key hits *)
-  let hit_rate policy =
-    let pts = List.filter (fun p -> p.Fleet_bench.pt_policy = policy) r.Fleet_bench.fbr_points in
-    if pts = [] then 0.0
-    else
-      List.fold_left (fun acc p -> acc +. p.Fleet_bench.pt_key_hit_rate) 0.0 pts
-      /. Float.of_int (List.length pts)
-  in
-  let loc = hit_rate "locality" and rr = hit_rate "round_robin" in
-  Printf.printf "\nmean key hit rate: locality %.1f%%, round_robin %.1f%%\n" (100.0 *. loc)
-    (100.0 *. rr);
-  if loc <= rr then
-    Printf.printf "  WARNING: locality routing did not beat round-robin on warm-key hits\n%!"
-
-(* ------------------------------------------------------ perf trajectory *)
-
-(* BENCH_cinnamon.json: the machine-readable record of the sweep — one
-   entry per (benchmark, system) and per distinct simulated kernel,
-   plus cache effectiveness and wall-clock.  Consumed by CI (uploaded
-   as an artifact) to track the perf trajectory across commits. *)
-let write_bench_json file ~wall_seconds =
-  if !sweep_state = None && !micro_entries = [] && !serve_results = [] && !fleet_result = None
-     && !nn_entries = []
-  then ()
-    (* no sweep, kernel microbench or serving section ran; nothing to record *)
-  else begin
-    let st = Exec.Result_cache.stats () in
-    let lookups = st.Exec.Result_cache.hits + st.Exec.Result_cache.disk_hits + st.Exec.Result_cache.misses in
-    let hit_rate =
-      if lookups = 0 then 0.0
-      else
-        Float.of_int (st.Exec.Result_cache.hits + st.Exec.Result_cache.disk_hits) /. Float.of_int lookups
-    in
-    let sw_kernels = match !sweep_state with Some sw -> sw.Runner.sw_kernels | None -> [] in
-    let sw_results = match !sweep_state with Some sw -> sw.Runner.sw_results | None -> [] in
-    let jobs_used = match !sweep_state with Some sw -> sw.Runner.sw_jobs | None -> !jobs in
-    let j =
-        [
-          ("schema", Json.Str "cinnamon-bench-v1");
-          ("generated_by", Json.Str "bench/main");
-          ("jobs", Json.Int jobs_used);
-          ("quick", Json.Bool !quick);
-          ("wall_seconds", Json.Float wall_seconds);
-          ( "cache",
-            Json.Obj
-              [
-                ("hits", Json.Int st.Exec.Result_cache.hits);
-                ("disk_hits", Json.Int st.Exec.Result_cache.disk_hits);
-                ("misses", Json.Int st.Exec.Result_cache.misses);
-                ("stores", Json.Int st.Exec.Result_cache.stores);
-                ("hit_rate", Json.Float hit_rate);
-              ] );
-          ( "kernels",
-            Json.List
-              (List.map
-                 (fun (k : Runner.kernel_time) ->
-                   Json.Obj
-                     [
-                       ("kernel", Json.Str k.Runner.kt_kernel);
-                       ("system", Json.Str k.Runner.kt_system);
-                       ("cycles", Json.Int k.Runner.kt_result.Sim.cycles);
-                       ("seconds", Json.Float k.Runner.kt_result.Sim.seconds);
-                     ])
-                 sw_kernels) );
-          ( "benchmarks",
-            Json.List
-              (List.map
-                 (fun (r : Runner.bench_result) ->
-                   Json.Obj
-                     [
-                       ("bench", Json.Str r.Runner.br_bench);
-                       ("system", Json.Str r.Runner.br_system);
-                       ("seconds", Json.Float r.Runner.br_seconds);
-                     ])
-                 sw_results) );
-          (* wall-clock of the functional OCaml kernels (kernels
-             section) — distinct from "kernels" above, which holds
-             simulated accelerator cycles *)
-          ( "kernel_microbench",
-            Json.List
-              (List.rev_map
-                 (fun e ->
-                   Json.Obj
-                     ([
-                        ("kernel", Json.Str e.me_kernel);
-                        ("n", Json.Int e.me_n);
-                        ("limbs", Json.Int e.me_limbs);
-                        ("us_per_op", Json.Float e.me_us);
-                      ]
-                     @
-                     if e.me_bytes = 0 then []
-                     else [ ("gbps", Json.Float (gbps_of ~bytes:e.me_bytes e.me_us)) ]))
-                 !micro_entries) );
-          (* graph front-end (nn section): packing-optimizer results *)
-          ( "nn_frontend",
-            Json.List
-              (List.rev_map
-                 (fun e ->
-                   Json.Obj
-                     ([
-                        ("workload", Json.Str e.ne_workload);
-                        ("compile_ms", Json.Float e.ne_compile_ms);
-                        ("rotations_planned", Json.Int e.ne_rot_planned);
-                        ("keyswitches_planned", Json.Int e.ne_ks_planned);
-                        ("cycles", Json.Int e.ne_cycles);
-                      ]
-                     @
-                     match e.ne_rot_naive with
-                     | Some n -> [ ("rotations_naive_column", Json.Int n) ]
-                     | None -> []))
-                 !nn_entries) );
-          (* serving-layer SLOs (serve section), keyed by client model *)
-          ( "serve_loadtest",
-            Json.Obj
-              (List.map
-                 (fun (r : Cinnamon_fleet.Loadtest.result) ->
-                   (r.Cinnamon_fleet.Loadtest.lr_mode, Cinnamon_fleet.Loadtest.result_json r))
-                 !serve_results) );
-        ]
-        @
-        (* fleet-scale serving sweep (fleet section) *)
-        match !fleet_result with
-        | None -> []
-        | Some r -> [ ("serve_fleet", Cinnamon_fleet.Fleet_bench.result_json r) ]
-    in
-    let j = Json.Obj j in
-    let oc = open_out file in
-    output_string oc (Json.to_string j);
-    output_char oc '\n';
-    close_out oc;
-    Printf.printf
-      "bench: wrote %s (%d kernels, %d benchmark points, %d microbench entries, %.0f%% cache hit rate)\n%!"
-      file (List.length sw_kernels) (List.length sw_results)
-      (List.length !micro_entries) (100.0 *. hit_rate)
-  end
+  Option.iter Exec.Pool.shutdown pool;
+  record "kernel_microbench" (Json.List (List.rev !entries))
 
 (* --------------------------------------------------------------- dispatch *)
 
@@ -1110,12 +960,11 @@ let sections =
     ("fig11", fig11); ("fig12", fig12); ("fig13", fig13); ("fig14", fig14);
     ("fig15", fig15); ("fig16", fig16); ("sec43", sec43); ("sec74", sec74);
     ("ablation", ablation); ("characterize", characterize); ("energy", energy);
-    ("micro", micro); ("kernels", kernels); ("nn", nn); ("serve", serve); ("fleet", fleet);
+    ("micro", micro); ("kernels", kernels); ("nn", nn);
   ]
 
 let () =
   let t0 = Unix.gettimeofday () in
-  let bench_out = ref "BENCH_cinnamon.json" in
   let split_eq flag s =
     (* "--flag=value" -> Some value *)
     let p = flag ^ "=" in
@@ -1161,21 +1010,18 @@ let () =
   in
   let requested, trace, metrics = parse_args [] None false (List.tl (Array.to_list Sys.argv)) in
   let requested =
-    if requested = [] && !quick then [ "table2"; "kernels"; "nn"; "serve"; "fleet" ]
-    else requested
+    if requested = [] && !quick then [ "table2"; "kernels"; "nn" ] else requested
   in
+  (match List.filter (fun name -> not (List.mem_assoc name sections)) requested with
+  | [] -> ()
+  | unknown ->
+    Printf.eprintf "unknown section(s): %s\nknown sections: %s\n" (String.concat " " unknown)
+      (String.concat " " (List.map fst sections));
+    exit 2);
   if trace <> None || metrics then Tel.enable ();
   let to_run =
     if requested = [] then sections
-    else
-      List.filter_map
-        (fun name ->
-          match List.assoc_opt name sections with
-          | Some f -> Some (name, f)
-          | None ->
-            Printf.eprintf "unknown section %s\n" name;
-            None)
-        requested
+    else List.map (fun name -> (name, List.assoc name sections)) requested
   in
   List.iter
     (fun (name, f) ->
@@ -1185,7 +1031,38 @@ let () =
     to_run;
   let wall_seconds = Unix.gettimeofday () -. t0 in
   Printf.printf "\nAll sections done in %.1fs\n" wall_seconds;
-  if !bench_out <> "-" then write_bench_json !bench_out ~wall_seconds;
+  (* the header describes the run that last recorded; a run that
+     recorded nothing leaves the artifact untouched *)
+  if !recorded <> [] then begin
+    let merged = !recorded in
+    let st = Exec.Result_cache.stats () in
+    let hits = st.Exec.Result_cache.hits + st.Exec.Result_cache.disk_hits in
+    let lookups = hits + st.Exec.Result_cache.misses in
+    let hit_rate = if lookups = 0 then 0.0 else Float.of_int hits /. Float.of_int lookups in
+    let jobs_used = match !sweep_state with Some sw -> sw.Runner.sw_jobs | None -> !jobs in
+    (* each merge puts its key first, so merge the header back to front *)
+    List.iter
+      (fun (key, json) -> record key json)
+      (List.rev
+         [
+           ("generated_by", Json.Str "bench/main");
+           ("jobs", Json.Int jobs_used);
+           ("quick", Json.Bool !quick);
+           ("wall_seconds", Json.Float wall_seconds);
+           ( "cache",
+             Json.Obj
+               [
+                 ("hits", Json.Int st.Exec.Result_cache.hits);
+                 ("disk_hits", Json.Int st.Exec.Result_cache.disk_hits);
+                 ("misses", Json.Int st.Exec.Result_cache.misses);
+                 ("stores", Json.Int st.Exec.Result_cache.stores);
+                 ("hit_rate", Json.Float hit_rate);
+               ] );
+         ]);
+    if !bench_out <> "-" then
+      Printf.printf "bench: merged %s into %s (%.0f%% cache hit rate)\n%!"
+        (String.concat ", " merged) !bench_out (100.0 *. hit_rate)
+  end;
   (match trace with
   | Some file -> (
     try

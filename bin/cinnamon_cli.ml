@@ -506,7 +506,9 @@ let tenants_arg =
         ~doc:"Run the multi-tenant serving benchmark instead of the size sweep: $(docv) \
               tenants (default 64) behind a zipf popularity curve, per-tenant key epochs \
               rotating mid-trace, residency-aware routing and a transciphering ingress. \
-              Merges the $(b,tenant_serving) section into the perf artifact.")
+              Merges the $(b,tenant_serving) section into the perf artifact.  The sweep-only \
+              flags ($(b,--policy), $(b,--trace-shape), $(b,--key-slots), \
+              $(b,--no-autoscale)) are rejected with it.")
 
 let tenant_skew_arg =
   Arg.(
@@ -549,6 +551,20 @@ let do_serve_fleet quick nodes policy trace_shape requests overload seed deadlin
   guarded @@ fun () ->
   match tenants with
   | Some n ->
+    let sweep_only =
+      List.filter_map
+        (fun (given, flag) -> if given then Some flag else None)
+        [
+          (policy <> None, "--policy");
+          (trace_shape <> None, "--trace-shape");
+          (key_slots <> None, "--key-slots");
+          (no_autoscale, "--no-autoscale");
+        ]
+    in
+    if sweep_only <> [] then
+      Cinnamon_util.Error.fail Cinnamon_util.Error.Invalid_input
+        (Printf.sprintf "--tenants does not take the fleet-size sweep's %s"
+           (String.concat ", " sweep_only));
     do_serve_tenants quick n nodes requests overload seed deadline key_load tenant_skew jobs
       bench_json
   | None ->

@@ -294,7 +294,7 @@ let run ?pool ?(on_terminal = fun _ -> []) config ~make_node ~arrivals () =
       (* no node has room: the first one refuses with its own typed
          reason (queue full, or closed by its drain deadline) *)
       Engine.offer first.fn_engine ~now_s:!now r
-    | None, [] -> refuse r (Admission.Fleet_full { nodes = 0 })
+    | None, [] -> refuse r Admission.Fleet_full
   in
   let route (r : Request.t) =
     (* tenant admission: provision on first sight, lease the current

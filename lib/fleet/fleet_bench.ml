@@ -127,9 +127,11 @@ let run cfg =
     (fun n -> if n < 1 then Error.fail Error.Invalid_input "Fleet_bench: node counts must be >= 1")
     cfg.fb_nodes;
   if cfg.fb_requests < 1 then Error.fail Error.Invalid_input "Fleet_bench: requests must be >= 1";
-  if cfg.fb_overload <= 0.0 then Error.fail Error.Invalid_input "Fleet_bench: overload must be > 0";
+  (* NaN fails every comparison; the mix is checked by Loadgen.calibrate *)
+  if not (cfg.fb_overload > 0.0) then
+    Error.fail Error.Invalid_input "Fleet_bench: overload must be > 0";
   if cfg.fb_key_slots < 1 then Error.fail Error.Invalid_input "Fleet_bench: key_slots must be >= 1";
-  if cfg.fb_key_load_factor < 0.0 then
+  if not (cfg.fb_key_load_factor >= 0.0) then
     Error.fail Error.Invalid_input "Fleet_bench: key_load_factor must be >= 0";
   let pool = Exec.Pool.create ~jobs:cfg.fb_jobs () in
   Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) @@ fun () ->
@@ -334,7 +336,20 @@ let print_result r =
             (Autoscaler.action_name e.Autoscaler.ev_action)
             e.Autoscaler.ev_nodes_before e.Autoscaler.ev_nodes_after e.Autoscaler.ev_reason)
         d.sd_events)
-    r.fbr_demos
+    r.fbr_demos;
+  (* the locality curve exists to beat round-robin on warm-key hits *)
+  let mean_hit_rate policy =
+    match List.filter (fun p -> p.pt_policy = Router.policy_name policy) r.fbr_points with
+    | [] -> None
+    | pts -> Some (Cinnamon_util.Stats.mean (List.map (fun p -> p.pt_key_hit_rate) pts))
+  in
+  match (mean_hit_rate Router.Locality, mean_hit_rate Router.Round_robin) with
+  | Some loc, Some rr ->
+    Printf.printf "\nmean key hit rate: locality %.1f%%, round_robin %.1f%%\n" (100.0 *. loc)
+      (100.0 *. rr);
+    if loc <= rr then
+      Printf.printf "  WARNING: locality routing did not beat round-robin on warm-key hits\n%!"
+  | _ -> ()
 
 let write_section ~file r =
   Exec.Bench_file.merge_section ~file "serve_fleet" (fun _ -> result_json r)

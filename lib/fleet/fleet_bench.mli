@@ -70,7 +70,14 @@ type result = {
 val run : config -> result
 
 val result_json : result -> Cinnamon_util.Json.t
+
+(** Print the scaling tables and autoscaler events.  When both
+    locality and round-robin were swept, also print their mean key hit
+    rates, with a WARNING if locality does not beat round-robin. *)
 val print_result : result -> unit
+
+(** A latency in ms to two decimals, ["-"] when absent. *)
+val fmt_opt_ms : float option -> string
 
 (** Merge into [file] under ["serve_fleet"], keeping every other key
     (see {!Cinnamon_exec.Bench_file}). *)

@@ -74,46 +74,28 @@ let mode_name = function Open_loop _ -> "open_loop" | Closed_loop _ -> "closed_l
 
 let run cfg =
   let invalid msg = Error.fail Error.Invalid_input ("Loadtest.run: " ^ msg) in
+  (* the mix is checked by Loadgen.calibrate; every comparison here
+     is written so that NaN fails it *)
   if cfg.lg_requests < 1 then invalid "lg_requests must be >= 1";
-  if cfg.lg_mix = [] then invalid "lg_mix must be non-empty";
-  if cfg.lg_deadline_factor <= 0.0 then invalid "lg_deadline_factor must be > 0";
-  List.iter
-    (fun c ->
-      if c.Loadgen.cls_weight <= 0.0 || Float.is_nan c.Loadgen.cls_weight then
-        invalid "class weights must be > 0")
-    cfg.lg_mix;
+  if not (cfg.lg_deadline_factor > 0.0) then invalid "lg_deadline_factor must be > 0";
   (match cfg.lg_mode with
-  | Open_loop { overload } -> if overload <= 0.0 then invalid "overload must be > 0"
+  | Open_loop { overload } -> if not (overload > 0.0) then invalid "overload must be > 0"
   | Closed_loop { clients; think_factor } ->
     if clients < 1 then invalid "clients must be >= 1";
-    if think_factor < 0.0 then invalid "think_factor must be >= 0");
+    if not (think_factor >= 0.0) then invalid "think_factor must be >= 0");
   let pool = Exec.Pool.create ~jobs:cfg.lg_jobs () in
   Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) @@ fun () ->
   (* the report counts the calibration's compiles too *)
   let stats0 = Exec.Result_cache.stats () in
   let calibrated = Loadgen.calibrate ~pool ~compile:cfg.lg_compile cfg.lg_mix in
-  let total_weight =
-    List.fold_left (fun acc (c, _) -> acc +. c.Loadgen.cls_weight) 0.0 calibrated
-  in
   let mean_service = Loadgen.mean_service calibrated in
   let rng = Rng.create ~seed:cfg.lg_seed in
-  let pick_class () =
-    let u = Rng.float rng *. total_weight in
-    let rec go acc = function
-      | [] -> List.hd calibrated (* unreachable: weights sum to total *)
-      | (c, s) :: rest ->
-        if acc +. c.Loadgen.cls_weight >= u then (c, s) else go (acc +. c.Loadgen.cls_weight) rest
-    in
-    go 0.0 calibrated
-  in
-  let pick_priority () =
-    let u = Rng.float rng in
-    if u < 0.1 then Request.High else if u < 0.9 then Request.Normal else Request.Low
-  in
+  let pick_class = Loadgen.class_picker rng calibrated in
+  (* draw order: class, priority, then (open loop) the next gap *)
   let mk_request ~id ~arrival_s =
     let cls, service_s = pick_class () in
-    Request.make ~config:cfg.lg_compile
-      ~priority:(pick_priority ())
+    let priority = Loadgen.pick_priority rng in
+    Request.make ~config:cfg.lg_compile ~priority
       ~deadline_s:(arrival_s +. (cfg.lg_deadline_factor *. service_s))
       ~id ~bench:cls.Loadgen.cls_bench ~system:cls.Loadgen.cls_system ~arrival_s ()
   in
@@ -182,7 +164,11 @@ let print_result r =
   List.iter
     (fun (k, v) -> Printf.printf "base service %-28s %.4f s\n" k v)
     r.lr_base_service;
-  Slo.print r.lr_report
+  Slo.print r.lr_report;
+  let rp = r.lr_report in
+  if rp.Slo.rp_completed > 0 && rp.Slo.rp_compiles >= rp.Slo.rp_admitted then
+    Printf.printf "  WARNING: batching did not amortize compiles (%d compiles for %d admitted)\n%!"
+      rp.Slo.rp_compiles rp.Slo.rp_admitted
 
 (* The open- and closed-loop results coexist under their mode keys. *)
 let write_section ~file r =

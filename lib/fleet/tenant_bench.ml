@@ -112,25 +112,18 @@ type result = {
   tbr_locality_gain : float; (* locality hit rate - round_robin hit rate *)
 }
 
-let percentile_ms q = function
-  | [] -> 0.0
-  | xs ->
-    let a = Array.of_list xs in
-    Array.sort Float.compare a;
-    let n = Array.length a in
-    let idx = int_of_float (Float.ceil (q *. Float.of_int n)) - 1 in
-    a.(max 0 (min (n - 1) idx))
-
 let run cfg =
   if cfg.tb_nodes < 1 then Error.fail Error.Invalid_input "Tenant_bench: nodes must be >= 1";
   if cfg.tb_tenants < 2 then Error.fail Error.Invalid_input "Tenant_bench: tenants must be >= 2";
   if cfg.tb_requests < 1 then Error.fail Error.Invalid_input "Tenant_bench: requests must be >= 1";
-  if cfg.tb_overload <= 0.0 then Error.fail Error.Invalid_input "Tenant_bench: overload must be > 0";
-  if cfg.tb_key_capacity_sets <= 0.0 then
+  (* NaN fails every comparison; the mix is checked by Loadgen.calibrate *)
+  if not (cfg.tb_overload > 0.0) then
+    Error.fail Error.Invalid_input "Tenant_bench: overload must be > 0";
+  if not (cfg.tb_key_capacity_sets > 0.0) then
     Error.fail Error.Invalid_input "Tenant_bench: key capacity must be > 0 sets";
-  if cfg.tb_key_load_factor < 0.0 then
+  if not (cfg.tb_key_load_factor >= 0.0) then
     Error.fail Error.Invalid_input "Tenant_bench: key_load_factor must be >= 0";
-  if cfg.tb_rotation_periods <= 0.0 then
+  if not (cfg.tb_rotation_periods > 0.0) then
     Error.fail Error.Invalid_input "Tenant_bench: rotation_periods must be > 0";
   let pool = Exec.Pool.create ~jobs:cfg.tb_jobs () in
   Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) @@ fun () ->
@@ -138,11 +131,7 @@ let run cfg =
   (* the ingress price IS the conversion circuit: calibrate the real
      compiled K_transcipher workload like any serving class *)
   let transcipher_s =
-    let sys =
-      match cfg.tb_mix with
-      | c :: _ -> c.Loadgen.cls_system
-      | [] -> Error.fail Error.Invalid_input "Tenant_bench: mix must be non-empty"
-    in
+    let sys = (List.hd cfg.tb_mix).Loadgen.cls_system (* calibrate rejected [] *) in
     match
       Loadgen.calibrate ~pool ~compile:cfg.tb_compile
         [ { Loadgen.cls_bench = "transcipher"; cls_system = sys; cls_weight = 1.0 } ]
@@ -225,7 +214,10 @@ let run cfg =
         (if tr.Fleet.tr_base_service_s > 0.0 then
            100.0 *. tr.Fleet.tr_transcipher_s /. tr.Fleet.tr_base_service_s
          else 0.0);
-      tp_cold_p99_ms = percentile_ms 0.99 (List.map snd tr.Fleet.tr_cold_start_ms);
+      tp_cold_p99_ms =
+        (match tr.Fleet.tr_cold_start_ms with
+        | [] -> 0.0
+        | cold -> Cinnamon_util.Stats.percentile ~p:99.0 (List.map snd cold));
       tp_rotations_started = tr.Fleet.tr_store.Store.st_rotations_started;
       tp_rotations_completed = tr.Fleet.tr_store.Store.st_rotations_completed;
       tp_key_gb_loaded = Float.of_int tr.Fleet.tr_key_bytes_loaded /. 1e9;
@@ -286,8 +278,6 @@ let result_json r =
       ("locality_hit_gain_vs_rr", Json.Float r.tbr_locality_gain);
     ]
 
-let fmt_opt_ms = function None -> "-" | Some v -> Printf.sprintf "%.2f" v
-
 let print_result r =
   Printf.printf
     "tenants %d over %d nodes, %d requests; key set %.2f GB, rotation period %.1fs\n"
@@ -302,7 +292,7 @@ let print_result r =
     (fun p ->
       Printf.printf "%-12s %9.2f %9s %8.1f%% %8.1f%% %9.1f %3d/%-3d %9.2f\n" p.tp_policy
         p.tp_report.Slo.rp_goodput_rps
-        (fmt_opt_ms p.tp_report.Slo.rp_p99_ms)
+        (Fleet_bench.fmt_opt_ms p.tp_report.Slo.rp_p99_ms)
         (100.0 *. p.tp_key_hit_rate)
         (100.0 *. p.tp_key_penalty_share)
         p.tp_cold_p99_ms p.tp_rotations_started p.tp_rotations_completed p.tp_transcipher_pct)

@@ -38,39 +38,25 @@ type config = {
 
 let validate cfg =
   if cfg.tr_requests < 1 then Error.fail Error.Invalid_input "Trace: requests must be >= 1";
-  if cfg.tr_deadline_factor <= 0.0 then
+  if not (cfg.tr_deadline_factor > 0.0) then
     Error.fail Error.Invalid_input "Trace: deadline_factor must be > 0";
   if cfg.tr_tenants < 0 then Error.fail Error.Invalid_input "Trace: tenants must be >= 0";
-  if cfg.tr_tenant_skew < 0.0 || Float.is_nan cfg.tr_tenant_skew then
+  if not (cfg.tr_tenant_skew >= 0.0) then
     Error.fail Error.Invalid_input "Trace: tenant skew must be >= 0";
   match cfg.tr_shape with
   | Poisson { rate_rps } ->
-    if rate_rps <= 0.0 then Error.fail Error.Invalid_input "Trace: rate must be > 0"
+    if not (rate_rps > 0.0) then Error.fail Error.Invalid_input "Trace: rate must be > 0"
   | Diurnal { base_rps; peak_rps; period_s } ->
-    if base_rps <= 0.0 then Error.fail Error.Invalid_input "Trace: base rate must be > 0";
-    if peak_rps < base_rps then Error.fail Error.Invalid_input "Trace: peak rate must be >= base";
-    if period_s <= 0.0 then Error.fail Error.Invalid_input "Trace: period must be > 0"
+    if not (base_rps > 0.0) then Error.fail Error.Invalid_input "Trace: base rate must be > 0";
+    if not (peak_rps >= base_rps) then
+      Error.fail Error.Invalid_input "Trace: peak rate must be >= base";
+    if not (period_s > 0.0) then Error.fail Error.Invalid_input "Trace: period must be > 0"
 
 let generate cfg ~classes =
   validate cfg;
   if classes = [] then Error.fail Error.Invalid_input "Trace: class mix must be non-empty";
-  let total_weight =
-    List.fold_left (fun acc ((c : Loadgen.class_spec), _) -> acc +. c.Loadgen.cls_weight) 0.0 classes
-  in
   let rng = Rng.create ~seed:cfg.tr_seed in
-  let pick_class () =
-    let u = Rng.float rng *. total_weight in
-    let rec go acc = function
-      | [] -> List.hd classes (* unreachable: weights sum to total *)
-      | ((c : Loadgen.class_spec), s) :: rest ->
-        if acc +. c.Loadgen.cls_weight >= u then (c, s) else go (acc +. c.Loadgen.cls_weight) rest
-    in
-    go 0.0 classes
-  in
-  let pick_priority () =
-    let u = Rng.float rng in
-    if u < 0.1 then Request.High else if u < 0.9 then Request.Normal else Request.Low
-  in
+  let pick_class = Loadgen.class_picker rng classes in
   let exp_gap rate = -.log (1.0 -. Rng.float rng) /. rate in
   let next_arrival =
     match cfg.tr_shape with
@@ -115,7 +101,7 @@ let generate cfg ~classes =
       (* draw order (class, gap, priority, tenant) is part of the trace
          contract: the tenant draw comes last so single-tenant traces
          reproduce the pre-tenancy streams exactly *)
-      let priority = pick_priority () in
+      let priority = Loadgen.pick_priority rng in
       let tenant = pick_tenant () in
       Request.make ~config:cfg.tr_compile ~priority
         ~deadline_s:(arrival_s +. (cfg.tr_deadline_factor *. service_s))

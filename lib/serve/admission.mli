@@ -8,7 +8,7 @@ type error =
   | Expired of { deadline_s : float; now_s : float }
       (** the deadline had already passed on arrival *)
   | Closed  (** the server is draining; no new admissions *)
-  | Fleet_full of { nodes : int }
+  | Fleet_full
       (** the fleet had no active node to offer the request to (a full
           or closed node refuses with its own reason); never produced
           by a single queue's {!admit} *)

@@ -12,10 +12,24 @@
 module CC = Cinnamon_compiler.Compile_config
 module Error = Cinnamon_util.Error
 module Exec = Cinnamon_exec
+module Rng = Cinnamon_util.Rng
 module Runner = Cinnamon_workloads.Runner
 module Specs = Cinnamon_workloads.Specs
 
 type class_spec = { cls_bench : string; cls_system : string; cls_weight : float }
+
+let class_name c = Printf.sprintf "%s@%s" c.cls_bench c.cls_system
+
+(* Every load test calibrates its mix first, so this is the one check
+   of it. *)
+let check_mix mix =
+  if mix = [] then Error.fail Error.Invalid_input "Loadgen: class mix must be non-empty";
+  List.iter
+    (fun c ->
+      if not (Float.is_finite c.cls_weight && c.cls_weight > 0.0) then
+        Error.fail Error.Invalid_input
+          (Printf.sprintf "Loadgen: class %s weight must be finite and > 0" (class_name c)))
+    mix
 
 (* Resolve a class to registry entries, failing fast with the
    registry's own unknown-name message. *)
@@ -56,6 +70,7 @@ let workload_executor ~now_s:_ (b : Batcher.batch) =
 (* Calibrate: one real run per class gives its base service time and
    pre-warms the compile cache the serving run will hit. *)
 let calibrate ~pool ~compile mix =
+  check_mix mix;
   let classes = List.map resolve_class mix in
   Exec.Pool.map pool
     (fun (cls, bench, sys) ->
@@ -67,7 +82,22 @@ let mean_service calibrated =
   let total_weight = List.fold_left (fun acc (c, _) -> acc +. c.cls_weight) 0.0 calibrated in
   List.fold_left (fun acc (c, s) -> acc +. (c.cls_weight /. total_weight *. s)) 0.0 calibrated
 
-let class_name c = Printf.sprintf "%s@%s" c.cls_bench c.cls_system
+(* The draws every generated request stream makes: a class in
+   proportion to its weight, and a 10/80/10 High/Normal/Low priority.
+   Callers fix their own draw order; it is part of their streams. *)
+let class_picker rng calibrated =
+  let total_weight = List.fold_left (fun acc (c, _) -> acc +. c.cls_weight) 0.0 calibrated in
+  fun () ->
+    let u = Rng.float rng *. total_weight in
+    let rec go acc = function
+      | [] -> List.hd calibrated (* unreachable: weights sum to total *)
+      | (c, s) :: rest -> if acc +. c.cls_weight >= u then (c, s) else go (acc +. c.cls_weight) rest
+    in
+    go 0.0 calibrated
+
+let pick_priority rng =
+  let u = Rng.float rng in
+  if u < 0.1 then Request.High else if u < 0.9 then Request.Normal else Request.Low
 
 let report slo ~makespan_s ~since =
   let open Exec.Result_cache in

@@ -26,8 +26,9 @@ val workload_executor : now_s:float -> Batcher.batch -> float
 
 (** Run each class once (through the result cache, pre-warming the
     compiles a serving run will hit) and pair it with its measured
-    base service seconds.  Raises typed errors on unknown workload
-    names. *)
+    base service seconds.  Raises [Invalid_input] before any run on an
+    empty mix or a weight that is not finite and > 0, and
+    [Unknown_name] on unknown workload names. *)
 val calibrate :
   pool:Cinnamon_exec.Pool.t -> compile:CC.t -> class_spec list -> (class_spec * float) list
 
@@ -36,6 +37,13 @@ val mean_service : (class_spec * float) list -> float
 
 (** ["bench\@system"], the key reports file calibrated seconds under. *)
 val class_name : class_spec -> string
+
+(** [class_picker rng calibrated] draws a class of the (non-empty)
+    mix in proportion to its weight, one [Rng.float] per draw. *)
+val class_picker : Cinnamon_util.Rng.t -> (class_spec * 'a) list -> unit -> class_spec * 'a
+
+(** The 10/80/10 High/Normal/Low priority draw, one [Rng.float]. *)
+val pick_priority : Cinnamon_util.Rng.t -> Request.priority
 
 (** The SLO report of a finished run, with the compiles and cache hits
     the result cache counted since [since]. *)

@@ -76,7 +76,7 @@ let observe_rejected t (e : Admission.error) =
   | Admission.Queue_full _ -> t.rejected_full <- t.rejected_full + 1
   | Admission.Expired _ -> t.rejected_expired <- t.rejected_expired + 1
   | Admission.Closed -> t.rejected_closed <- t.rejected_closed + 1
-  | Admission.Fleet_full _ -> t.rejected_fleet <- t.rejected_fleet + 1
+  | Admission.Fleet_full -> t.rejected_fleet <- t.rejected_fleet + 1
   | Admission.Tenant_unavailable _ -> t.rejected_tenant <- t.rejected_tenant + 1
 
 let observe_shed t = t.shed <- t.shed + 1

@@ -526,6 +526,37 @@ let test_fleet_bit_identical_across_jobs () =
   Alcotest.(check int) "scaling events identical" (List.length a.Fleet.fr_events)
     (List.length b.Fleet.fr_events)
 
+(* Bad serving-bench input fails with a typed Invalid_input before any
+   calibration run: a zero class weight or a NaN overload used to reach
+   Request.make as a NaN arrival time. *)
+let test_bench_input_typed () =
+  let zero_weight = [ spec "bootstrap" 0.0 ] in
+  List.iter
+    (fun (name, run) ->
+      match run () with
+      | () -> Alcotest.failf "%s: expected a typed error" name
+      | exception Cinnamon_util.Error.Error e ->
+        Alcotest.(check bool) (name ^ " raises Invalid_input") true
+          (e.Cinnamon_util.Error.kind = Cinnamon_util.Error.Invalid_input))
+    [
+      ( "Fleet_bench 0.0 class weight",
+        fun () ->
+          ignore (Fleet_bench.run { Fleet_bench.quick with Fleet_bench.fb_mix = zero_weight; fb_jobs = 1 }) );
+      ( "Tenant_bench 0.0 class weight",
+        fun () ->
+          ignore (Tenant_bench.run { Tenant_bench.quick with Tenant_bench.tb_mix = zero_weight; tb_jobs = 1 }) );
+      ( "Fleet_bench NaN overload",
+        fun () ->
+          ignore (Fleet_bench.run { Fleet_bench.quick with Fleet_bench.fb_overload = Float.nan; fb_jobs = 1 })
+      );
+      ( "Loadtest NaN overload",
+        fun () ->
+          ignore
+            (Loadtest.run
+               { Loadtest.quick with Loadtest.lg_mode = Loadtest.Open_loop { overload = Float.nan }; lg_jobs = 1 })
+      );
+    ]
+
 let suite =
   ( "fleet",
     [
@@ -548,4 +579,5 @@ let suite =
       Alcotest.test_case "scale-up under load" `Quick test_scale_up_under_load;
       Alcotest.test_case "scale-down drains gracefully" `Quick test_scale_down_drains_gracefully;
       Alcotest.test_case "bit-identical across jobs" `Quick test_fleet_bit_identical_across_jobs;
+      Alcotest.test_case "bad bench input is a typed error" `Quick test_bench_input_typed;
     ] )

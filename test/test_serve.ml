@@ -345,7 +345,7 @@ let test_slo_merge_adds () =
   Slo.observe_completed a ~latency_s:0.1 ~met:true;
   Slo.observe_queue_depth a 3;
   Slo.observe_offered b;
-  Slo.observe_rejected b (Admission.Fleet_full { nodes = 2 });
+  Slo.observe_rejected b Admission.Fleet_full;
   Slo.observe_queue_depth b 5;
   let m = Slo.merge [ a; b ] in
   let rp = Slo.report m ~duration_s:1.0 ~compiles:0 ~cache_hits:0 in
