@@ -3,17 +3,18 @@
    Regenerates every table and figure of the paper's evaluation
    (Tables 1-3, Figures 6, 11-16, and the §4.3.1 / §7.4 headline
    claims), printing measured-vs-paper values; EXPERIMENTS.md records
-   the comparison.  Also runs Bechamel microbenchmarks of the
-   functional OCaml kernels (NTT, base conversion, keyswitch, rescale)
-   that calibrate the CPU baseline.
+   the comparison.  Also times the functional OCaml kernels (NTT,
+   base conversion, automorphism, keyswitch, hoisted rotations); the
+   measured NTT calibrates the CPU baseline.
 
    Usage: main.exe [section ...] [--jobs N] [--quick] [--cache-dir DIR]
                    [--bench-out FILE] [--trace FILE] [--metrics]
      sections: table1 table2 table3 fig6 fig11 fig12 fig13 fig14 fig15
-               fig16 sec43 sec74 ablation characterize energy micro
-               kernels nn   (default: all)
-     --jobs N        worker domains for the Table-2/Fig-11 sweep
-                     (0 = Domain.recommended_domain_count; 1 = sequential)
+               fig16 sec43 sec74 ablation characterize energy kernels
+               nn   (default: all)
+     --jobs N        worker domains for the Table-2/Fig-11 sweep and the
+                     kernel microbench (0 = Domain.recommended_domain_count;
+                     1 = sequential; negative N exits 2)
      --quick         restrict the sweep to the Bootstrap benchmark,
                      shrink the kernel microbench to N=2^12, and
                      default the section list to "table2 kernels nn"
@@ -51,7 +52,7 @@ module Tel = Cinnamon_telemetry.Telemetry
 module Exec = Cinnamon_exec
 module Json = Cinnamon_util.Json
 
-let jobs = ref 0 (* 0 = Pool.default_jobs () *)
+let jobs = ref 0 (* resolved to Pool.default_jobs () after parsing when 0 *)
 let quick = ref false
 
 let section_header name = Printf.printf "\n################ %s ################\n%!" name
@@ -700,73 +701,6 @@ let nn () =
   T.print t;
   record "nn_frontend" (Json.List entries)
 
-(* --------------------------------------------------------- microbenchmarks *)
-
-(* Plain wall-clock microbenchmarks plus a Bechamel pass on the NTT.
-   The measured NTT throughput calibrates the CPU column of Table 2
-   (see Cpu_model). *)
-let micro () =
-  section_header "Microbenchmarks: functional OCaml kernels";
-  let open Cinnamon_rns in
-  let time_it ?(reps = 20) f =
-    ignore (f ());
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      ignore (f ())
-    done;
-    (Unix.gettimeofday () -. t0) /. Float.of_int reps
-  in
-  let n = 1 lsl 12 in
-  let q = List.hd (Prime_gen.gen_primes ~bits:28 ~n ~count:1 ()) in
-  let plan = Ntt.plan ~q ~n in
-  let rng = Cinnamon_util.Rng.create ~seed:1 in
-  let a = Limb_buf.init n (fun _ -> Cinnamon_util.Rng.int rng q) in
-  let ntt_dst = Limb_buf.create n in
-  let params = Lazy.force Cinnamon_ckks.Params.small in
-  let sk = Cinnamon_ckks.Keys.gen_secret_key params rng in
-  let relin = Cinnamon_ckks.Keys.gen_relin_key params sk rng in
-  let c =
-    Rns_poly.random ~n:params.Cinnamon_ckks.Params.n ~basis:params.Cinnamon_ckks.Params.q_basis
-      ~domain:Rns_poly.Eval rng
-  in
-  let ext = params.Cinnamon_ckks.Params.p_basis in
-  let cc = Rns_poly.to_coeff c in
-  let ntt_s = time_it ~reps:200 (fun () -> Ntt.forward_into plan ~src:a ~dst:ntt_dst) in
-  Printf.printf "  %-28s %10.1f us/op\n" (Printf.sprintf "ntt (N=%d)" n) (ntt_s *. 1e6);
-  Printf.printf "  %-28s %10.1f us/op\n" "base-conv (9->3 limbs)"
-    (1e6 *. time_it (fun () -> Base_conv.convert cc ~dst:ext));
-  Printf.printf "  %-28s %10.1f us/op\n" "keyswitch (fused,N=1024,L=9)"
-    (1e6 *. time_it ~reps:5 (fun () -> Cinnamon_ckks.Keyswitch_fused.keyswitch params relin c));
-  Printf.printf "  %-28s %10.1f us/op\n" "rescale"
-    (1e6 *. time_it (fun () -> Cinnamon_ckks.Eval.rescale_poly c));
-  (* Bechamel cross-check on the NTT *)
-  (let open Bechamel in
-   let test =
-     Test.make ~name:"ntt" (Staged.stage (fun () -> Ntt.forward_into plan ~src:a ~dst:ntt_dst))
-   in
-   let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) () in
-   let raw = Benchmark.all cfg [ Toolkit.Instance.monotonic_clock ] (Test.make_grouped ~name:"rns" [ test ]) in
-   let ols =
-     Analyze.all
-       (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-       Toolkit.Instance.monotonic_clock raw
-   in
-   Hashtbl.iter
-     (fun name result ->
-       match Analyze.OLS.estimates result with
-       | Some [ est ] -> Printf.printf "  bechamel %-19s %10.1f us/op\n" name (est /. 1e3)
-       | _ -> ())
-     ols);
-  (* CPU-column calibration *)
-  let boot =
-    Cinnamon_sim.Cpu_model.extrapolate_from_measured ~seconds_per_ntt:ntt_s ~n_meas:n ~cores:48
-  in
-  Printf.printf
-    "Extrapolated 48-core CPU bootstrap (from measured OCaml NTT): %s (paper-reported: 33 s)\n"
-    (T.fmt_time boot);
-  Printf.printf "Analytic 48-core CPU bootstrap: %s\n"
-    (T.fmt_time Cinnamon_sim.Cpu_model.analytic_bootstrap_seconds)
-
 (* ------------------------------------------------- kernel microbenchmarks *)
 
 (* The RNS/NTT kernel layer, timed at paper-class parameter points and
@@ -842,6 +776,17 @@ let kernels () =
     (1e6 *. time_it ~reps:(reps * 8) (fun () -> Ntt.forward_into ?pool plan ~src:a ~dst:scratch));
   record_micro ~kernel:"ntt_inverse" ~n ~limbs:1 ~bytes:ntt_bytes
     (1e6 *. time_it ~reps:(reps * 8) (fun () -> Ntt.inverse_into ?pool plan ~src:a ~dst:scratch));
+  (* CPU-column calibration: Cpu_model extrapolates single-core
+     seconds, so time the NTT once more without the pool (not recorded) *)
+  let ntt_s = time_it ~reps:(reps * 8) (fun () -> Ntt.forward_into plan ~src:a ~dst:scratch) in
+  let boot =
+    Cinnamon_sim.Cpu_model.extrapolate_from_measured ~seconds_per_ntt:ntt_s ~n_meas:n ~cores:48
+  in
+  Printf.printf
+    "Extrapolated 48-core CPU bootstrap (from measured OCaml NTT): %s (paper-reported: 33 s)\n"
+    (T.fmt_time boot);
+  Printf.printf "Analytic 48-core CPU bootstrap: %s\n%!"
+    (T.fmt_time Cinnamon_sim.Cpu_model.analytic_bootstrap_seconds);
   (* full-width pointwise product, into a preallocated destination *)
   let x = Rns_poly.random ~n ~basis ~domain:Rns_poly.Eval rng in
   let y = Rns_poly.random ~n ~basis ~domain:Rns_poly.Eval rng in
@@ -960,7 +905,7 @@ let sections =
     ("fig11", fig11); ("fig12", fig12); ("fig13", fig13); ("fig14", fig14);
     ("fig15", fig15); ("fig16", fig16); ("sec43", sec43); ("sec74", sec74);
     ("ablation", ablation); ("characterize", characterize); ("energy", energy);
-    ("micro", micro); ("kernels", kernels); ("nn", nn);
+    ("kernels", kernels); ("nn", nn);
   ]
 
 let () =
@@ -977,16 +922,18 @@ let () =
     Printf.eprintf "bad argument %s\n" s;
     exit 2
   in
+  let set_jobs arg n =
+    match int_of_string_opt n with Some n when n >= 0 -> jobs := n | _ -> bad_arg arg
+  in
   let rec parse_args acc trace metrics = function
     | [] -> (List.rev acc, trace, metrics)
     | "--metrics" :: rest -> parse_args acc trace true rest
     | "--quick" :: rest ->
       quick := true;
       parse_args acc trace metrics rest
-    | "--jobs" :: n :: rest -> (
-      match int_of_string_opt n with
-      | Some n -> jobs := n; parse_args acc trace metrics rest
-      | None -> bad_arg ("--jobs " ^ n))
+    | "--jobs" :: n :: rest ->
+      set_jobs ("--jobs " ^ n) n;
+      parse_args acc trace metrics rest
     | "--cache-dir" :: dir :: rest ->
       Exec.Result_cache.set_dir (Some dir);
       parse_args acc trace metrics rest
@@ -996,10 +943,9 @@ let () =
     | "--trace" :: file :: rest -> parse_args acc (Some file) metrics rest
     | s :: rest when split_eq "--trace" s <> None ->
       parse_args acc (split_eq "--trace" s) metrics rest
-    | s :: rest when split_eq "--jobs" s <> None -> (
-      match int_of_string_opt (Option.get (split_eq "--jobs" s)) with
-      | Some n -> jobs := n; parse_args acc trace metrics rest
-      | None -> bad_arg s)
+    | s :: rest when split_eq "--jobs" s <> None ->
+      set_jobs s (Option.get (split_eq "--jobs" s));
+      parse_args acc trace metrics rest
     | s :: rest when split_eq "--cache-dir" s <> None ->
       Exec.Result_cache.set_dir (split_eq "--cache-dir" s);
       parse_args acc trace metrics rest
@@ -1009,6 +955,7 @@ let () =
     | s :: rest -> parse_args (s :: acc) trace metrics rest
   in
   let requested, trace, metrics = parse_args [] None false (List.tl (Array.to_list Sys.argv)) in
+  if !jobs = 0 then jobs := Exec.Pool.default_jobs ();
   let requested =
     if requested = [] && !quick then [ "table2"; "kernels"; "nn" ] else requested
   in
@@ -1039,14 +986,13 @@ let () =
     let hits = st.Exec.Result_cache.hits + st.Exec.Result_cache.disk_hits in
     let lookups = hits + st.Exec.Result_cache.misses in
     let hit_rate = if lookups = 0 then 0.0 else Float.of_int hits /. Float.of_int lookups in
-    let jobs_used = match !sweep_state with Some sw -> sw.Runner.sw_jobs | None -> !jobs in
     (* each merge puts its key first, so merge the header back to front *)
     List.iter
       (fun (key, json) -> record key json)
       (List.rev
          [
            ("generated_by", Json.Str "bench/main");
-           ("jobs", Json.Int jobs_used);
+           ("jobs", Json.Int !jobs);
            ("quick", Json.Bool !quick);
            ("wall_seconds", Json.Float wall_seconds);
            ( "cache",

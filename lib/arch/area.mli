@@ -34,10 +34,6 @@ type config = {
 (** The paper's Cinnamon chip (Table 1). *)
 val cinnamon_chip_config : config
 
-(** Cinnamon-M (§6.1); the paper underspecifies its FU split — see the
-    implementation note. *)
-val cinnamon_m_config : config
-
 val area_of : config -> chip_area
 val cinnamon_chip : chip_area lazy_t
 val cinnamon_m : chip_area lazy_t

@@ -7,11 +7,8 @@
    with the paper's (optimistic) defect density D0 = 0.2/cm² and
    clustering parameter alpha = 3.  Dies per 300 mm wafer use the
    standard geometric estimate, and tape-out cost per good die is
-   wafer_price_per_mm2-derived, matching the paper's Table 3 inputs. *)
+   wafer-price-derived, matching the paper's Table 3 inputs. *)
 
-type process = { proc_name : string; wafer_price_per_mm2 : float }
-
-let p7nm = { proc_name = "7nm"; wafer_price_per_mm2 = 57_500.0 /. 70_685.0 }
 (* Table 3 gives $/mm²-of-wafer prices directly; we keep them as given
    (57500, 23000, 10500 per wafer-area normalization unit) and treat
    them as the per-die-area price basis below. *)

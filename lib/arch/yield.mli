@@ -2,10 +2,6 @@
     negative-binomial yield (D0 = 0.2 cm⁻², α = 3), geometric
     dies-per-wafer, cost per good die. *)
 
-type process = { proc_name : string; wafer_price_per_mm2 : float }
-
-val p7nm : process
-
 type accelerator = {
   accel_name : string;
   die_area_mm2 : float;
@@ -13,10 +9,6 @@ type accelerator = {
   wafer_price : float;
   chips_needed : int;  (** chips per deployed system *)
 }
-
-val defect_density_per_cm2 : float
-val clustering_alpha : float
-val wafer_diameter_mm : float
 
 (** Negative-binomial yield of a die of the given area. *)
 val yield_of : area_mm2:float -> float

@@ -240,8 +240,6 @@ let gelu x = 0.5 *. x *. (1.0 +. tanh (0.7978845608028654 *. (x +. (0.044715 *. 
 
 let eval_gelu ctx ct ~range ~deg = eval_function ctx ct ~a:(-.range) ~b:range ~deg gelu
 
-let eval_tanh ctx ct ~range ~deg = eval_function ctx ct ~a:(-.range) ~b:range ~deg tanh
-
 (* exp for softmax, on a bounded negative domain (inputs are shifted by
    the max, as in Zhang et al.'s non-interactive softmax). *)
 let eval_exp ctx ct ~a ~b ~deg = eval_function ctx ct ~a ~b ~deg exp

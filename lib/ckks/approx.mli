@@ -17,15 +17,10 @@ val normalize : Eval.context -> Ciphertext.t -> a:float -> b:float -> Ciphertext
     [-1, 1]. *)
 val chebyshev_eval : Eval.context -> Ciphertext.t -> float array -> Ciphertext.t
 
-(** Fit and evaluate [f] on a ciphertext with values in [a, b]. *)
-val eval_function :
-  Eval.context -> Ciphertext.t -> a:float -> b:float -> deg:int -> (float -> float) -> Ciphertext.t
-
 (** The tanh-form GELU (plaintext reference). *)
 val gelu : float -> float
 
 val eval_gelu : Eval.context -> Ciphertext.t -> range:float -> deg:int -> Ciphertext.t
-val eval_tanh : Eval.context -> Ciphertext.t -> range:float -> deg:int -> Ciphertext.t
 
 (** exp on [a, b] — the softmax numerator on max-shifted inputs. *)
 val eval_exp : Eval.context -> Ciphertext.t -> a:float -> b:float -> deg:int -> Ciphertext.t

@@ -8,9 +8,6 @@ open Cinnamon_rns
     [delta] into signed message-polynomial coefficients. *)
 val encode_coeffs : n:int -> delta:float -> Cinnamon_util.Cplx.t array -> int array
 
-(** Decode float coefficients to [slots] complex values. *)
-val decode_coeffs : n:int -> delta:float -> slots:int -> float array -> Cinnamon_util.Cplx.t array
-
 (** Encode straight into an RNS polynomial over [basis] (Coeff domain). *)
 val encode : basis:Basis.t -> n:int -> delta:float -> Cinnamon_util.Cplx.t array -> Rns_poly.t
 

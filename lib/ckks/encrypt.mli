@@ -2,16 +2,6 @@
 
 open Cinnamon_rns
 
-(** Encrypt an already-encoded plaintext polynomial. *)
-val encrypt_poly :
-  Params.t ->
-  Keys.public_key ->
-  scale:float ->
-  slots:int ->
-  Rns_poly.t ->
-  Cinnamon_util.Rng.t ->
-  Ciphertext.t
-
 (** Encrypt a complex vector; [level] defaults to the top of the chain,
     [scale] to the parameter scale. *)
 val encrypt :

@@ -155,10 +155,6 @@ let mul_int a k =
   C.make ~c0:(Rns_poly.scalar_mul a.C.c0 k) ~c1:(Rns_poly.scalar_mul a.C.c1 k)
     ~scale:a.C.scale ~slots:a.C.slots
 
-(* Divide every slot value by [f] for free: reinterpret the scale.
-   Used by bootstrapping to divide by q0 exactly. *)
-let scale_reinterpret a f = C.make ~c0:a.C.c0 ~c1:a.C.c1 ~scale:(a.C.scale *. f) ~slots:a.C.slots
-
 (* Multiply every slot by i exactly (monomial X^{N/2}); free. *)
 let mul_by_i a =
   let e = Rns_poly.n a.C.c0 / 2 in
@@ -209,7 +205,3 @@ let conjugate ctx a =
     let c1r = Rns_poly.automorphism a.C.c1 ~k in
     let k0, k1 = Keyswitch_fused.keyswitch ?pool:ctx.pool ctx.params swk c1r in
     C.make ~c0:(Rns_poly.add c0r k0) ~c1:k1 ~scale:a.C.scale ~slots:a.C.slots
-
-(* Rotations needed by callers must exist in the eval key, stored under
-   the canonical amount mod N/2. *)
-let rotation_key_index params r = Keys.canonical_rotation ~n:params.Params.n r

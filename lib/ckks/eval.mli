@@ -1,8 +1,6 @@
 (** Homomorphic evaluation: the CKKS operation set with RNS-CKKS scale
     management. *)
 
-open Cinnamon_rns
-
 type context = {
   params : Params.t;
   ek : Keys.eval_key;
@@ -29,9 +27,6 @@ val neg : Ciphertext.t -> Ciphertext.t
 val add_plain : context -> Ciphertext.t -> Cinnamon_util.Cplx.t array -> Ciphertext.t
 
 val add_const : context -> Ciphertext.t -> float -> Ciphertext.t
-
-(** Exact RNS rescale of one polynomial: drop the top prime and divide. *)
-val rescale_poly : Rns_poly.t -> Rns_poly.t
 
 (** Rescale a ciphertext: one level consumed, scale divided by the
     dropped prime. *)
@@ -66,9 +61,6 @@ val mul_const : context -> Ciphertext.t -> float -> Ciphertext.t
     unchanged). *)
 val mul_int : Ciphertext.t -> int -> Ciphertext.t
 
-(** Free division of every slot by [f]: scale reinterpretation. *)
-val scale_reinterpret : Ciphertext.t -> float -> Ciphertext.t
-
 (** Multiply every slot by i exactly (monomial X{^N/2}); free. *)
 val mul_by_i : Ciphertext.t -> Ciphertext.t
 
@@ -82,6 +74,3 @@ val square : context -> Ciphertext.t -> Ciphertext.t
 val rotate : context -> Ciphertext.t -> int -> Ciphertext.t
 
 val conjugate : context -> Ciphertext.t -> Ciphertext.t
-
-(** Canonical key-table index of a rotation amount. *)
-val rotation_key_index : Params.t -> int -> int

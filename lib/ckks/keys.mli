@@ -33,9 +33,6 @@ type eval_key = private {
 (** Small Gaussian error polynomial over [basis], Eval domain. *)
 val sample_error : Params.t -> basis:Basis.t -> Cinnamon_util.Rng.t -> Rns_poly.t
 
-(** Ternary coefficients (dense, or fixed Hamming weight per params). *)
-val sample_ternary : Params.t -> Cinnamon_util.Rng.t -> int array
-
 val gen_secret_key : Params.t -> Cinnamon_util.Rng.t -> secret_key
 
 (** Restrict the secret key to a sub-basis of Q{_L} ∪ P. *)
@@ -47,11 +44,6 @@ val gen_public_key : Params.t -> secret_key -> Cinnamon_util.Rng.t -> public_key
     by its limb indices (digits need not be contiguous — output-
     aggregation keyswitching uses the round-robin chip partition). *)
 val gadget_scalars_for : Params.t -> digit_indices:int list -> int array
-
-(** Switch key re-encrypting products by [s_from] (given over Q{_L} ∪ P)
-    under the main secret key. *)
-val gen_switch_key :
-  Params.t -> secret_key -> s_from:Rns_poly.t -> Cinnamon_util.Rng.t -> switch_key
 
 val gen_relin_key : Params.t -> secret_key -> Cinnamon_util.Rng.t -> switch_key
 
@@ -68,8 +60,6 @@ val gen_rotation_key : Params.t -> secret_key -> rot:int -> Cinnamon_util.Rng.t 
 
 (** Deduplicate and canonicalize rotation amounts, dropping zero. *)
 val canonicalize_rotations : n:int -> int list -> int list
-
-val gen_conjugation_key : Params.t -> secret_key -> Cinnamon_util.Rng.t -> switch_key
 
 (** The eval-key smart constructor: relin key, one key per canonical
     rotation amount, and optionally (default: no) a conjugation key, in

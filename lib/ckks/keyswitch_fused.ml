@@ -348,7 +348,6 @@ let decompose ?pool params c1 =
       { dec_plan = pl; dec_ext = ext })
 
 let target_basis dec = dec.dec_plan.pl_target
-let level_basis dec = dec.dec_plan.pl_q
 
 let check_acc name pl acc =
   if not (Basis.equal (Rns_poly.basis acc) pl.pl_target) || Rns_poly.domain acc <> Rns_poly.Eval

@@ -60,9 +60,6 @@ val decompose : ?pool:Cinnamon_pool.Pool.t -> Params.t -> Rns_poly.t -> decompos
 (** The extension basis Q_l ∪ P accumulators must live on. *)
 val target_basis : decomposition -> Basis.t
 
-(** The ciphertext basis Q_l the results land on. *)
-val level_basis : decomposition -> Basis.t
-
 (** Inner product of the shared decomposition with [swk] into
     caller-owned Eval accumulators over {!target_basis}, optionally
     reading the digits through a Galois slot permutation ([perm], the

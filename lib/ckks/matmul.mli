@@ -8,9 +8,6 @@ val sigma_perm : int -> int -> int
 (** Slot permutation of the tau (column-diagonal) alignment. *)
 val tau_perm : int -> int -> int
 
-(** Permutation matrix of a slot permutation (out[i] = in[perm i]). *)
-val perm_matrix : slots:int -> (int -> int) -> Cinnamon_util.Cplx.t array array
-
 (** Every rotation amount [mul ~d] needs, for eval-key planning. *)
 val required_rotations : d:int -> int list
 

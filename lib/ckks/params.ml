@@ -117,28 +117,3 @@ let large = lazy (make ~log_n:16 ~levels:12 ~dnum:3 ~slots:1024 ())
 let boot =
   lazy
     (make ~log_n:11 ~levels:21 ~dnum:4 ~slots:8 ~q0_bits:26 ~scale_bits:26 ~hamming_weight:8 ())
-
-(* The paper's architectural configuration (symbolic: never used to
-   materialize polynomials in tests; drives compiler/simulator sizing).
-   N=64K, 28-bit limbs; bootstrapping input at l=2, raised to l=51,
-   refreshing down to l_eff=13 (paper §6.2). *)
-type arch = {
-  a_log_n : int;
-  a_limbs_top : int; (* limbs at the top of the chain (L+1) *)
-  a_dnum : int;
-  a_alpha : int;
-  a_limb_bits : int;
-  a_limb_bytes : int; (* size of one limb in bytes: N * 4 (28b packed in 32b words) *)
-}
-
-let paper_arch =
-  {
-    a_log_n = 16;
-    a_limbs_top = 55;
-    (* l = 51 plus special primes head-room, matching ~54-55 limb chains
-       used by CraterLake/ARK-class designs *)
-    a_dnum = 3;
-    a_alpha = 19;
-    a_limb_bits = 28;
-    a_limb_bytes = (1 lsl 16) * 4;
-  }

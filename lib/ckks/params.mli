@@ -62,15 +62,3 @@ val small : t lazy_t
 val medium : t lazy_t
 val large : t lazy_t
 val boot : t lazy_t
-
-(** The paper's architectural configuration (symbolic). *)
-type arch = {
-  a_log_n : int;
-  a_limbs_top : int;
-  a_dnum : int;
-  a_alpha : int;
-  a_limb_bits : int;
-  a_limb_bytes : int;
-}
-
-val paper_arch : arch

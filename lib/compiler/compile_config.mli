@@ -27,9 +27,6 @@ val limb_bytes : t -> int
 
 val n : t -> int
 
-(** The paper chip's register file capacity: 56 MB. *)
-val default_rf_bytes : int
-
 (** Vector registers that fit [rf_bytes] (at least 8). *)
 val registers : t -> int
 

@@ -3,10 +3,6 @@
 
 open Cinnamon_ir
 
-(** One chip: Belady allocation then direct translation. *)
-val translate_chip :
-  num_regs:int -> Limb_ir.chip_program -> Cinnamon_isa.Isa.program * Regalloc.stats
-
 (** Whole machine. *)
 val translate :
   num_regs:int ->

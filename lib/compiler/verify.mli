@@ -15,8 +15,6 @@ open Cinnamon_ir
 
 type stage = S_ct | S_poly | S_limb | S_isa
 
-val stage_name : stage -> string
-
 type violation = {
   v_stage : stage;
   v_rule : string;  (** stable rule name, e.g. ["ct-def-before-use"] *)
@@ -30,27 +28,6 @@ val pp_violation : Format.formatter -> violation -> unit
 (** The full rule catalog: [(stage, rule-name, one-line description)],
     in checking order.  Mirrored in DESIGN.md. *)
 val rules : (stage * string * string) list
-
-(** Ciphertext-level checks: SSA shape, def-before-use, stream ranges,
-    level bookkeeping, rotation-key availability ([rotation_keys], when
-    given, is the set of rotation amounts keys exist for), and static
-    noise-budget clearance against the modulus chain. *)
-val verify_ct : ?rotation_keys:int list -> Compile_config.t -> Ct_ir.t -> violation list
-
-(** Polynomial-level checks: SSA shape, limb-count legality, rescale
-    steps, operand limb coverage, and keyswitch pair/batch legality. *)
-val verify_poly : Compile_config.t -> Poly_ir.t -> violation list
-
-(** Limb-level checks: chip ownership of vregs, per-chip use-before-def,
-    collective pairing across chips, pairwise collective ordering
-    (ring-deadlock smoke check), and keyswitch-schedule coverage
-    against {!Keyswitch_pass.comm_summary}. *)
-val verify_limb : Compile_config.t -> Poly_ir.t -> Limb_ir.t -> violation list
-
-(** ISA-level checks: register operands within the register-file bound,
-    read-before-write, and regalloc statistics consistency. *)
-val verify_isa :
-  Compile_config.t -> Regalloc.stats array -> Cinnamon_isa.Isa.machine_program -> violation list
 
 val all :
   ?rotation_keys:int list ->

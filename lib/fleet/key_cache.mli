@@ -15,7 +15,6 @@ type entry = {
     stamped epoch, and its batch compatibility key. *)
 val entry_of_request : Cinnamon_serve.Request.t -> entry
 
-val entry_equal : entry -> entry -> bool
 val entry_to_string : entry -> string
 
 type t

@@ -156,13 +156,3 @@ let compute_stats_chip cp =
     stores = !stores;
     total_instrs = !total;
   }
-
-let fu_name = function
-  | Fu_add -> "add"
-  | Fu_mul -> "mul"
-  | Fu_ntt -> "ntt"
-  | Fu_intt -> "intt"
-  | Fu_auto -> "auto"
-  | Fu_bconv -> "bconv"
-  | Fu_transpose -> "transpose"
-  | Fu_prng -> "prng"

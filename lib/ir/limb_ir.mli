@@ -69,4 +69,3 @@ type compute_stats = {
 }
 
 val compute_stats_chip : chip_program -> compute_stats
-val fu_name : fu -> string

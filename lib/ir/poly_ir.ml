@@ -102,12 +102,6 @@ let stats t =
     t.nodes;
   { total_nodes = Array.length t.nodes; keyswitches = !ks; automorphisms = !auto; ntt_heavy_ops = !heavy }
 
-let pp_algorithm fmt = function
-  | Seq -> Format.pp_print_string fmt "seq"
-  | Cifher_broadcast -> Format.pp_print_string fmt "cifher"
-  | Input_broadcast -> Format.pp_print_string fmt "input-bcast"
-  | Output_aggregation -> Format.pp_print_string fmt "output-agg"
-
 let algorithm_name = function
   | Seq -> "sequential"
   | Cifher_broadcast -> "cifher-broadcast"

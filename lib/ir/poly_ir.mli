@@ -53,5 +53,4 @@ type stats = {
 }
 
 val stats : t -> stats
-val pp_algorithm : Format.formatter -> ks_algorithm -> unit
 val algorithm_name : ks_algorithm -> string

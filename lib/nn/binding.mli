@@ -17,8 +17,6 @@
 type t
 
 val create : unit -> t
-val set_matrix : t -> string -> float array array -> unit
-val set_vector : t -> string -> float array -> unit
 
 (** Deterministically fill every weight the graph needs: matmul entries
     uniform in [±amplitude/sqrt cols], conv taps in

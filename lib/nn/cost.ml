@@ -1,11 +1,10 @@
 (* Packing cost model (see cost.mli).
 
    Units are keyswitch-equivalents: one full rotation keyswitch = 1.0.
-   The default ratios come from the PR-8 kernel microbenches
+   The default ratios come from the kernel microbenches
    (hoisted_rotate4 vs rotate4_unhoisted gives the hoisted marginal
-   cost, pointwise_mul_into vs keyswitch the plaintext-mult cost);
-   [calibrate] re-derives them from a BENCH_cinnamon.json on disk so
-   the model tracks the machine it runs on. *)
+   cost, pointwise_mul_into vs keyswitch the plaintext-mult cost).
+   They are constants: no file on disk changes a compiled program. *)
 
 type weights = {
   w_rotate : float;
@@ -25,54 +24,6 @@ let default =
     w_add = 0.01;
     w_level = 0.05;
   }
-
-(* --- calibration ------------------------------------------------------- *)
-
-module Json = Cinnamon_util.Json
-
-(* Mean us_per_op over all (n, limbs) points of one microbench kernel:
-   a scale-free way to form ratios from whatever sizes the bench ran. *)
-let mean_us entries kernel =
-  let vals =
-    List.filter_map
-      (fun e ->
-        match (Json.member "kernel" e, Json.member "us_per_op" e) with
-        | Some k, Some v when Json.to_str k = Some kernel -> Json.to_float v
-        | _ -> None)
-      entries
-  in
-  match vals with
-  | [] -> None
-  | _ -> Some (List.fold_left ( +. ) 0.0 vals /. Float.of_int (List.length vals))
-
-let calibrate ?(path = "BENCH_cinnamon.json") () =
-  let parsed =
-    try
-      let ic = open_in_bin path in
-      let len = in_channel_length ic in
-      let s = really_input_string ic len in
-      close_in ic;
-      match Json.of_string s with Ok j -> Some j | Error _ -> None
-    with Sys_error _ | End_of_file -> None
-  in
-  match Option.bind parsed (fun j -> Option.bind (Json.member "kernel_microbench" j) Json.to_list) with
-  | None -> default
-  | Some entries ->
-    let ks = mean_us entries "keyswitch" in
-    let ratio num den fallback =
-      match (num, den) with
-      | Some n, Some d when d > 0.0 && n > 0.0 -> n /. d
-      | _ -> fallback
-    in
-    {
-      default with
-      (* hoisted_rotate4/rotate4_unhoisted both time a 4-batch, so the
-         batch-time ratio is the per-rotation ratio *)
-      w_rotate_hoisted =
-        ratio (mean_us entries "hoisted_rotate4") (mean_us entries "rotate4_unhoisted")
-          default.w_rotate_hoisted;
-      w_pmult = ratio (mean_us entries "pointwise_mul_into") ks default.w_pmult;
-    }
 
 (* --- per-packing costs -------------------------------------------------- *)
 

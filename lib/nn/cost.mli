@@ -9,8 +9,8 @@
     giant step rotates a {e different} group sum and pays a full
     keyswitch.  The optimal split therefore leans n1 > sqrt(D).
 
-    Weights default to ratios measured by the kernel microbench suite
-    and can be re-calibrated from a [BENCH_cinnamon.json] on disk. *)
+    The weights are fixed ratios measured once by the kernel
+    microbench suite. *)
 
 type weights = {
   w_rotate : float;  (** full rotation keyswitch (= 1.0 by definition) *)
@@ -23,11 +23,6 @@ type weights = {
 }
 
 val default : weights
-
-(** Re-derive the hoisted/full/pmult ratios from the
-    [kernel_microbench] section of a bench artifact (falls back to
-    {!default} per field when the file or an entry is missing). *)
-val calibrate : ?path:string -> unit -> weights
 
 type split = { n1 : int; n2 : int  (** n1 babies x n2 giants, n1*n2 >= diagonals *) }
 

@@ -32,9 +32,6 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
 val iter : t -> ('a -> unit) -> 'a list -> unit
 
-(** Submit one job; blocks while the queue is full.  Prefer {!map}. *)
-val submit : t -> (unit -> unit) -> unit
-
 (** Drain remaining jobs and join the worker domains.  Idempotent. *)
 val shutdown : t -> unit
 

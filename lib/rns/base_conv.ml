@@ -42,7 +42,6 @@ type table = {
   dst : Basis.t;
   qhat_inv : int array; (* (Q/q_j)^-1 mod q_j *)
   qhat_mod_p : int array array; (* [k].[j] = Q/q_j mod p_k *)
-  q_mod_p : int array; (* Q mod p_k, for exact-reduction variants *)
   reduce_src : bool array array; (* [k].[j]: q_j >= p_k, residue needs a pre-reduction *)
   batch : int array; (* [k]: accumulation terms per lazy reduction *)
 }
@@ -60,7 +59,6 @@ let make_table ~src ~dst =
         let pk = Basis.value dst k in
         Array.init l (fun j -> B.rem_small (Crt.qhat c j) pk))
   in
-  let q_mod_p = Array.init m (fun k -> B.rem_small (Crt.q_prod c) (Basis.value dst k)) in
   let reduce_src =
     Array.init m (fun k ->
         let pk = Basis.value dst k in
@@ -85,7 +83,7 @@ let make_table ~src ~dst =
         let bound = vmax * (pk - 1) in
         max 1 (max_int / max 1 bound))
   in
-  { src; dst; qhat_inv = Array.init l (Crt.qhat_inv c); qhat_mod_p; q_mod_p; reduce_src; batch }
+  { src; dst; qhat_inv = Array.init l (Crt.qhat_inv c); qhat_mod_p; reduce_src; batch }
 
 let table ~src ~dst =
   let key = (Basis.to_list src, Basis.to_list dst) in
@@ -199,54 +197,3 @@ let convert ?pool x ~dst =
             accumulate_column tbl ~scaled ~out ~k
           done);
       out)
-
-(* Same approximate conversion computed naively on boxed int arrays
-   with plain Modarith calls — no lazy accumulation, no Limb_buf in
-   the arithmetic.  The sum mod p_k is the same mathematical integer
-   either way, so this matches [convert] bitwise: the differential
-   tests pin that. *)
-let convert_oracle x ~dst =
-  if Rns_poly.domain x <> Rns_poly.Coeff then
-    invalid_arg "Base_conv.convert_oracle: input must be in coefficient domain";
-  let src = Rns_poly.basis x in
-  let tbl = table ~src ~dst in
-  let n = Rns_poly.n x in
-  let l = Basis.size src in
-  let scaled =
-    Array.init l (fun j ->
-        let md = Basis.modulus src j in
-        let limb = Limb_buf.to_int_array (Rns_poly.unsafe_limb_view x j) in
-        Array.map (fun v -> Modarith.mul md v tbl.qhat_inv.(j)) limb)
-  in
-  let out = Rns_poly.create ~n ~basis:dst ~domain:Rns_poly.Coeff in
-  for k = 0 to Basis.size dst - 1 do
-    let md = Basis.modulus dst k in
-    let olimb = Rns_poly.unsafe_limb_view out k in
-    for i = 0 to n - 1 do
-      let acc = ref 0 in
-      for j = 0 to l - 1 do
-        let v = Modarith.of_int md scaled.(j).(i) in
-        acc := Modarith.add md !acc (Modarith.mul md v tbl.qhat_mod_p.(k).(j))
-      done;
-      Limb_buf.set olimb i !acc
-    done
-  done;
-  out
-
-(* Exact conversion via CRT bignum reconstruction — quadratic-ish test
-   oracle, also exposes the approximation slack e for property tests. *)
-let convert_exact x ~dst =
-  let module B = Cinnamon_util.Bigint in
-  let xc = Rns_poly.to_coeff x in
-  let n = Rns_poly.n x in
-  let out = Rns_poly.create ~n ~basis:dst ~domain:Rns_poly.Coeff in
-  for i = 0 to n - 1 do
-    let v, negp = Rns_poly.coeff_centered xc i in
-    for k = 0 to Basis.size dst - 1 do
-      let pk = Basis.value dst k in
-      let md = Basis.modulus dst k in
-      let r = B.rem_small v pk in
-      Limb_buf.set (Rns_poly.unsafe_limb_view out k) i (if negp then Modarith.neg md r else r)
-    done
-  done;
-  out

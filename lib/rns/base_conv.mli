@@ -39,12 +39,3 @@ val accumulate_column_into : table -> scaled:Limb_buf.t array -> dst:Limb_buf.t 
     slack is absorbed by mod-down scaling and CKKS noise).  Only pass
     [pool] from the domain that owns it. *)
 val convert : ?pool:Cinnamon_pool.Pool.t -> Rns_poly.t -> dst:Basis.t -> Rns_poly.t
-
-(** The same approximate conversion computed naively with boxed
-    [int array] arithmetic — differential test oracle, bitwise equal
-    to {!convert}. *)
-val convert_oracle : Rns_poly.t -> dst:Basis.t -> Rns_poly.t
-
-(** Exact conversion of the centered representative via bignum CRT —
-    test oracle for the [e·Q] slack bound. *)
-val convert_exact : Rns_poly.t -> dst:Basis.t -> Rns_poly.t

@@ -71,10 +71,6 @@ let[@inline] neg m a = if a = 0 then 0 else m.q - a
 
 let[@inline] mul m a b = reduce m (a * b)
 
-(* Multiply-accumulate kept as a separate entry point so callers can
-   batch reductions where safe. *)
-let mul_add m a b c = add m (mul m a b) c
-
 let rec pow m base e =
   if e = 0 then 1
   else begin

@@ -42,9 +42,6 @@ val sub : modulus -> int -> int -> int
 val neg : modulus -> int -> int
 val mul : modulus -> int -> int -> int
 
-(** [mul_add m a b c = a*b + c mod q]. *)
-val mul_add : modulus -> int -> int -> int -> int
-
 (** Modular exponentiation; [e >= 0]. *)
 val pow : modulus -> int -> int -> int
 

@@ -102,7 +102,6 @@ let plan ~q ~n =
   if not (Cinnamon_util.Bitops.is_pow2 n) then invalid_arg "Ntt.plan: N not a power of 2";
   Cinnamon_util.Memo.get plans (q, n) (fun () -> make_plan ~q ~n)
 
-let plan_n plan = plan.n
 let plan_modulus plan = plan.md
 
 (* ------------------------------------------------------------------ *)
@@ -615,93 +614,3 @@ let apply_perm_into (p : perm) ~src ~dst =
   for j = 0 to n - 1 do
     bset dst j (bget src (Array.unsafe_get p j))
   done
-
-(* ------------------------------------------------------------------ *)
-(* Test oracles on boxed int arrays.  These are the PR 3 Barrett
-   kernels kept verbatim: an independent code path (different
-   reduction, different storage) that the differential tests pin the
-   Limb_buf kernels against, bitwise. *)
-
-let forward_oracle plan a =
-  let n = plan.n in
-  if Array.length a <> n then invalid_arg "Ntt.forward_oracle: length";
-  let a = Array.copy a in
-  let q, mu, shift = Modarith.barrett plan.md in
-  let sh1 = (shift / 2) - 1 and sh2 = (shift / 2) + 1 in
-  let psi_br = plan.psi_br in
-  let t = ref n and m = ref 1 in
-  while !m < n do
-    t := !t / 2;
-    for i = 0 to !m - 1 do
-      let j1 = 2 * i * !t in
-      let j2 = j1 + !t - 1 in
-      let s = Array.unsafe_get psi_br (!m + i) in
-      for j = j1 to j2 do
-        let u = Array.unsafe_get a j in
-        let x = Array.unsafe_get a (j + !t) * s in
-        let v = x - (((x lsr sh1) * mu) lsr sh2) * q in
-        let v = if v >= q then v - q else v in
-        let v = if v >= q then v - q else v in
-        let su = u + v in
-        Array.unsafe_set a j (if su >= q then su - q else su);
-        let d = u - v in
-        Array.unsafe_set a (j + !t) (if d < 0 then d + q else d)
-      done
-    done;
-    m := !m * 2
-  done;
-  a
-
-let inverse_oracle plan a =
-  let n = plan.n in
-  if Array.length a <> n then invalid_arg "Ntt.inverse_oracle: length";
-  let a = Array.copy a in
-  let q, mu, shift = Modarith.barrett plan.md in
-  let sh1 = (shift / 2) - 1 and sh2 = (shift / 2) + 1 in
-  let inv_psi_br = plan.inv_psi_br in
-  let t = ref 1 and m = ref n in
-  while !m > 1 do
-    let j1 = ref 0 in
-    let h = !m / 2 in
-    for i = 0 to h - 1 do
-      let j2 = !j1 + !t - 1 in
-      let s = Array.unsafe_get inv_psi_br (h + i) in
-      for j = !j1 to j2 do
-        let u = Array.unsafe_get a j in
-        let v = Array.unsafe_get a (j + !t) in
-        let su = u + v in
-        Array.unsafe_set a j (if su >= q then su - q else su);
-        let d = u - v in
-        let d = if d < 0 then d + q else d in
-        let x = d * s in
-        let w = x - (((x lsr sh1) * mu) lsr sh2) * q in
-        let w = if w >= q then w - q else w in
-        Array.unsafe_set a (j + !t) (if w >= q then w - q else w)
-      done;
-      j1 := !j1 + (2 * !t)
-    done;
-    t := !t * 2;
-    m := h
-  done;
-  let n_inv = plan.n_inv in
-  for j = 0 to n - 1 do
-    let x = Array.unsafe_get a j * n_inv in
-    let w = x - (((x lsr sh1) * mu) lsr sh2) * q in
-    let w = if w >= q then w - q else w in
-    Array.unsafe_set a j (if w >= q then w - q else w)
-  done;
-  a
-
-(* Schoolbook negacyclic convolution; quadratic, test oracle only. *)
-let negacyclic_mul_naive md a b =
-  let n = Array.length a in
-  let r = Array.make n 0 in
-  for i = 0 to n - 1 do
-    for j = 0 to n - 1 do
-      let k = i + j in
-      let p = Modarith.mul md a.(i) b.(j) in
-      if k < n then r.(k) <- Modarith.add md r.(k) p
-      else r.(k - n) <- Modarith.sub md r.(k - n) p
-    done
-  done;
-  r

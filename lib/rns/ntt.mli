@@ -20,7 +20,6 @@ type plan
     power-of-two ring dimension [n]. [q] must be ≡ 1 (mod 2n). *)
 val plan : q:int -> n:int -> plan
 
-val plan_n : plan -> int
 val plan_modulus : plan -> Modarith.modulus
 
 (** Forward transform of [src] into [dst] (natural-order input and
@@ -63,15 +62,3 @@ val perm_array : perm -> int array
 (** [dst.(j) <- src.(nth perm j)] for all [j]; [src] and [dst] must
     not overlap. *)
 val apply_perm_into : perm -> src:Limb_buf.t -> dst:Limb_buf.t -> unit
-
-(** {2 Test oracles}
-
-    Independent reference implementations on boxed [int array]s — the
-    PR 3 Barrett kernels, kept verbatim so differential tests can pin
-    the Limb_buf kernels bitwise against a different code path. *)
-
-val forward_oracle : plan -> int array -> int array
-val inverse_oracle : plan -> int array -> int array
-
-(** Quadratic schoolbook negacyclic product. *)
-val negacyclic_mul_naive : Modarith.modulus -> int array -> int array -> int array

@@ -65,7 +65,6 @@ let node t = t.node
 let name t = t.node.Node.name
 let slo t = t.slo
 let queue_depth t = Admission.depth t.q
-let free_workers t = t.free
 
 let inflight_requests t =
   List.fold_left (fun n e -> n + Batcher.size e.if_batch) 0 t.inflight

@@ -25,10 +25,6 @@ val node : t -> Node.t
 val name : t -> string
 val slo : t -> Slo.t
 val queue_depth : t -> int
-val free_workers : t -> int
-
-(** Requests in flight inside dispatched batches. *)
-val inflight_requests : t -> int
 
 (** Router's least-loaded signal: queued + in-flight requests. *)
 val load : t -> int

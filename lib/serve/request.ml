@@ -12,7 +12,6 @@ module Epoch = Cinnamon_tenant.Epoch
 type priority = High | Normal | Low
 
 let priority_rank = function High -> 0 | Normal -> 1 | Low -> 2
-let priority_name = function High -> "high" | Normal -> "normal" | Low -> "low"
 
 type t = {
   req_id : int;

@@ -7,8 +7,6 @@ type priority = High | Normal | Low
 (** [High] ranks before [Normal] before [Low]. *)
 val priority_rank : priority -> int
 
-val priority_name : priority -> string
-
 type t = {
   req_id : int;
   req_bench : string;  (** benchmark registry name (see [Specs.benchmarks]) *)

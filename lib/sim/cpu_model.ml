@@ -3,7 +3,8 @@
    Two calibrations (see DESIGN.md):
 
    (a) the paper's reported CPU times (bootstrap 33 s, ResNet 17.5 min,
-       HELR 14.9 min, BERT ~17.3 h);
+       HELR 14.9 min, BERT ~17.3 h; the CPU column of
+       Cinnamon_arch.Paper_data's Table 2);
 
    (b) an analytic model from first principles, cross-checked against
        the measured throughput of this repository's own OCaml RNS
@@ -15,12 +16,8 @@
    multiply-accumulate traffic; a 48-core AVX-512 machine sustains a
    few billion 64-bit modmuls per second aggregate. *)
 
-type t = {
-  modmuls_per_second : float; (* sustained across all cores *)
-  name : string;
-}
-
-let xeon_48 = { modmuls_per_second = 6.0e9; name = "48-core Xeon (analytic)" }
+(* Sustained modmuls per second across all 48 cores. *)
+let xeon_48_modmuls_per_second = 6.0e9
 
 (* Cost in modmuls of one size-N NTT. *)
 let ntt_modmuls ~n = Float.of_int n *. (log (Float.of_int n) /. log 2.0)
@@ -35,16 +32,13 @@ let keyswitch_modmuls ~n ~limbs ~ext ~dnum =
   ntts +. bconv +. macs
 
 (* A full bootstrap ~ [keyswitches] keyswitches at average level. *)
-let bootstrap_seconds cpu ~n ~avg_limbs ~ext ~dnum ~keyswitches =
+let bootstrap_seconds ~n ~avg_limbs ~ext ~dnum ~keyswitches =
   let per_ks = keyswitch_modmuls ~n ~limbs:avg_limbs ~ext ~dnum in
-  Float.of_int keyswitches *. per_ks /. cpu.modmuls_per_second
-
-(* Paper-reported CPU seconds per benchmark. *)
-let paper_reported = [ ("Bootstrap", 33.0); ("Resnet", 1050.0); ("HELR", 894.0); ("BERT", 62250.0) ]
+  Float.of_int keyswitches *. per_ks /. xeon_48_modmuls_per_second
 
 (* Analytic estimate for the paper's bootstrap configuration. *)
 let analytic_bootstrap_seconds =
-  bootstrap_seconds xeon_48 ~n:(1 lsl 16) ~avg_limbs:45 ~ext:18 ~dnum:3 ~keyswitches:97
+  bootstrap_seconds ~n:(1 lsl 16) ~avg_limbs:45 ~ext:18 ~dnum:3 ~keyswitches:97
 
 (* Extrapolate a measured small-N NTT throughput (seconds per NTT at
    ring dimension n_meas, single core) to a 48-core machine at 64K. *)

@@ -1,22 +1,9 @@
-(** CPU baseline cost model (paper §6.1: 48-core Xeon), calibrated both
-    from the paper's reported times and from this repo's measured OCaml
-    kernel throughput. *)
-
-type t = { modmuls_per_second : float; name : string }
-
-val xeon_48 : t
-
-(** Modular multiplications of one size-[n] NTT. *)
-val ntt_modmuls : n:int -> float
+(** CPU baseline cost model (paper §6.1: 48-core Xeon): an analytic
+    modmul count, cross-checked against this repo's measured OCaml NTT
+    throughput. *)
 
 (** Cost of one keyswitch in modmuls. *)
 val keyswitch_modmuls : n:int -> limbs:int -> ext:int -> dnum:int -> float
-
-val bootstrap_seconds :
-  t -> n:int -> avg_limbs:int -> ext:int -> dnum:int -> keyswitches:int -> float
-
-(** Paper-reported CPU seconds per benchmark. *)
-val paper_reported : (string * float) list
 
 (** The analytic model's bootstrap estimate at the paper's parameters. *)
 val analytic_bootstrap_seconds : float

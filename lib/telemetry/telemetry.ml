@@ -277,5 +277,3 @@ let report () =
       counters
   end;
   Buffer.contents buf
-
-let print_report () = print_string (report ())

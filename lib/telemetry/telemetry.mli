@@ -112,5 +112,3 @@ val write_chrome_trace : string -> unit
 (** Plain-text report: span table (count, total, mean) and all non-zero
     counters, grouped by category. *)
 val report : unit -> string
-
-val print_report : unit -> unit

@@ -8,7 +8,6 @@ type t
 
 val zero : t
 val one : t
-val is_zero : t -> bool
 
 (** Raises [Invalid_argument] on negative input. *)
 val of_int : int -> t

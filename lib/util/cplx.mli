@@ -13,9 +13,6 @@ val mul : t -> t -> t
 val conj : t -> t
 val scale : float -> t -> t
 
-(** Squared magnitude. *)
-val norm2 : t -> float
-
 (** Magnitude. *)
 val abs : t -> float
 
@@ -25,10 +22,6 @@ val div : t -> t -> t
 val polar : float -> t
 
 val pp : Format.formatter -> t -> unit
-
-(** In-place radix-2 FFT; [sign = -1.0] forward, [+1.0] inverse kernel
-    (unnormalized). Array length must be a power of two. *)
-val fft_in_place : t array -> sign:float -> unit
 
 (** Forward DFT (allocating). *)
 val fft : t array -> t array

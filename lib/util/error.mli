@@ -38,9 +38,6 @@ val guard : (unit -> int) -> int
 
 (** {1 Did-you-mean}  *)
 
-(** Levenshtein distance. *)
-val edit_distance : string -> string -> int
-
 (** Nearest candidate by (case-insensitive) edit distance when close
     enough to be a plausible typo; [None] otherwise. *)
 val suggest : candidates:string list -> string -> string option

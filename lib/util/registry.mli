@@ -17,8 +17,5 @@ val entries : 'a t -> (string * 'a) list
 
 val names : 'a t -> string list
 
-(** Comma-separated names plus [extra] — the listing used in errors. *)
-val known_names : 'a t -> string
-
 val find : 'a t -> string -> ('a, string) result
 val mem : 'a t -> string -> bool

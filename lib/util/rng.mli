@@ -9,9 +9,6 @@ type t
 (** [create ~seed] builds a generator from an integer seed. *)
 val create : seed:int -> t
 
-(** Next raw 64-bit output of the splitmix64 sequence. *)
-val next_int64 : t -> int64
-
 (** Uniform non-negative native int over [0, 2{^62}). *)
 val next : t -> int
 

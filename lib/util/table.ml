@@ -85,21 +85,6 @@ let bar_chart ~title ~unit ?(width = 48) entries =
 let print_bar_chart ~title ~unit ?width entries =
   print_string (bar_chart ~title ~unit ?width entries)
 
-(* Grouped series rendering for "figure" style data: one row per x tick,
-   one column per series. *)
-let series_table ~title ~x_label ~series ~x_ticks ~value =
-  let t =
-    create ~title
-      ~header:(x_label :: List.map fst series)
-      ~aligns:(Left :: List.map (fun _ -> Right) series)
-      ()
-  in
-  List.iter
-    (fun x ->
-      add_row t (x :: List.map (fun (_, s) -> value s x) series))
-    x_ticks;
-  t
-
 let fmt_time seconds =
   if seconds < 1e-3 then Printf.sprintf "%.1fus" (seconds *. 1e6)
   else if seconds < 1.0 then Printf.sprintf "%.2fms" (seconds *. 1e3)

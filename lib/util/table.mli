@@ -14,21 +14,7 @@ val add_row : t -> string list -> unit
 val render : t -> string
 val print : t -> unit
 
-(** [bar_chart ~title ~unit entries] renders labelled horizontal bars
-    scaled to the maximum value. *)
-val bar_chart : title:string -> unit:string -> ?width:int -> (string * float) list -> string
-
 val print_bar_chart : title:string -> unit:string -> ?width:int -> (string * float) list -> unit
-
-(** Build a table with one row per x tick and one column per series;
-    [value series x] renders a cell. *)
-val series_table :
-  title:string ->
-  x_label:string ->
-  series:(string * 'a) list ->
-  x_ticks:string list ->
-  value:('a -> string -> string) ->
-  t
 
 (** Human-readable duration (us/ms/s/min/h). *)
 val fmt_time : float -> string

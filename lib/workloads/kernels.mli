@@ -20,12 +20,6 @@ val boot_shape_13 : boot_shape
 (** Refreshing 21 levels (deeper EvalMod; Fig. 14). *)
 val boot_shape_21 : boot_shape
 
-(** Emit a bootstrap into a program; [progpar] maps the two EvalMod
-    halves onto concurrent streams (Fig. 13's "+Program parallelism").
-    All instances share plaintext matrices (the Fig. 6 cache effect). *)
-val emit_bootstrap :
-  ?progpar:bool -> Cinnamon.Dsl.t -> boot_shape -> tag:string -> Cinnamon.Dsl.ct -> Cinnamon.Dsl.ct
-
 val bootstrap_program :
   ?shape:boot_shape -> ?parallel:int -> ?streams:int -> ?progpar:bool -> unit -> Cinnamon_ir.Ct_ir.t
 
@@ -49,14 +43,6 @@ val gelu_block : Cinnamon.Dsl.ct -> tag:string -> Cinnamon.Dsl.ct
 
 (** Layernorm: moments by rotate-sum + NR inverse sqrt. *)
 val layernorm_block : Cinnamon.Dsl.t -> tag:string -> Cinnamon.Dsl.ct -> Cinnamon.Dsl.ct
-
-(** HHEML-style transciphering ingress: homomorphic symmetric
-    decryption — HERA-style rounds of affine diffusion (two slot
-    rotations), round-constant addition, and a cube S-box (two levels
-    per round) — then [encode(sym_ct) - keystream].  Input is the
-    CKKS-encrypted symmetric key. *)
-val transcipher_block :
-  Cinnamon.Dsl.t -> rounds:int -> tag:string -> Cinnamon.Dsl.ct -> Cinnamon.Dsl.ct
 
 (** Standalone transcipher kernel; default 3 rounds = 6 levels. *)
 val transcipher_program : ?rounds:int -> unit -> Cinnamon_ir.Ct_ir.t

@@ -28,9 +28,6 @@ type system = private {
     disagree. *)
 val make_system : name:string -> group_chips:int -> groups:int -> SC.t -> system
 
-(** A paper-style system: groups of [group_chips] (default 4). *)
-val cinnamon_system : ?group_chips:int -> SC.t -> system
-
 val cinnamon_m : system
 val cinnamon_1 : system
 val cinnamon_4 : system
@@ -45,9 +42,6 @@ val widened : system -> system
     [chips], [group_size] and [rf_bytes] come from the system,
     everything else from the caller's config. *)
 val effective_config : Compile_config.t -> system -> Compile_config.t
-
-(** The structural key {!simulate_kernel} files its result under. *)
-val cache_key : ?config:Compile_config.t -> system -> Specs.kernel -> Cinnamon_exec.Cache_key.t
 
 (** Compile a kernel for one group of the system.  [~verify:true] runs
     the static verifier on the result ({!Pipeline.compile}). *)
@@ -105,10 +99,6 @@ val run_benchmarks :
 
 (** The Table 2 / Fig. 11 systems. *)
 val all_systems : system list
-
-(** Registry: the name → system mapping entry points dispatch through
-    (companion to [Specs.kernels] / [Specs.benchmarks]). *)
-val system_registry : system Cinnamon_util.Registry.t
 
 val systems : (string * system) list
 val find_system : string -> (system, string) result

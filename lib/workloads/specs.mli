@@ -30,7 +30,6 @@ type benchmark = {
 
 val seg : ?instances:int -> ?repeats:int -> kernel -> segment
 val bootstrap_13 : benchmark
-val bootstrap_21 : benchmark
 val resnet20 : benchmark
 val helr : benchmark
 val bert : benchmark
@@ -42,13 +41,6 @@ val all : benchmark list
     encoder layer) as kernels, and as single-segment benchmarks; both
     are also folded into the registries below. *)
 val graph_kernels : (string * kernel) list
-
-val graph_benchmarks : (string * benchmark) list
-
-(** The transciphering ingress as a single-segment benchmark
-    (registered as ["transcipher"]), so serving layers can calibrate
-    and price it like any inference class. *)
-val transcipher_bench : benchmark
 
 (** Build one kernel instance as ciphertext IR. *)
 val kernel_program : kernel -> Cinnamon_ir.Ct_ir.t

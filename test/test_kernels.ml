@@ -1,8 +1,8 @@
 (* Differential tests for the Bigarray kernel layer.
 
    Every Limb_buf kernel is pinned BITWISE against a naive boxed
-   [int array] oracle (plain Barrett arithmetic, no lazy reduction, no
-   Bigarray) across random ring sizes, modulus widths and limb counts —
+   [int array] oracle (canonical Modarith arithmetic, no lazy
+   reduction, no Bigarray, tables rebuilt from the moduli) across random ring sizes, modulus widths and limb counts —
    so the Harvey lazy-reduction tricks and the domain-parallel split
    can never drift from the textbook semantics unnoticed.
 
@@ -14,6 +14,8 @@
 open Cinnamon_rns
 module Rng = Cinnamon_util.Rng
 module Pool = Cinnamon_pool.Pool
+module Ntt_ref = Cinnamon_oracle.Ntt_ref
+module Base_conv_ref = Cinnamon_oracle.Base_conv_ref
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -44,7 +46,7 @@ let test_ntt_forward_matches_oracle =
       let q = List.hd (Prime_gen.gen_primes ~bits ~n ~count:1 ()) in
       let plan = Ntt.plan ~q ~n in
       let a = random_arr (Rng.create ~seed) n q in
-      run_fwd plan a = Ntt.forward_oracle plan a)
+      run_fwd plan a = Ntt_ref.forward ~q a)
 
 let test_ntt_inverse_matches_oracle =
   qtest ~count:40 "ntt inverse = int-array oracle (bitwise)" shape_gen
@@ -53,7 +55,7 @@ let test_ntt_inverse_matches_oracle =
       let q = List.hd (Prime_gen.gen_primes ~bits ~n ~count:1 ()) in
       let plan = Ntt.plan ~q ~n in
       let a = random_arr (Rng.create ~seed) n q in
-      run_inv plan a = Ntt.inverse_oracle plan a)
+      run_inv plan a = Ntt_ref.inverse ~q a)
 
 let test_ntt_roundtrip_shapes =
   qtest ~count:30 "intt(ntt(a)) = a (random shapes)" shape_gen
@@ -69,16 +71,17 @@ let test_ntt_roundtrip_shapes =
 let test_base_conv_matches_oracle =
   qtest ~count:20 "base_conv = int-array oracle (bitwise)"
     QCheck2.Gen.(
-      quad (int_range 1 5) (int_range 1 4) (int_range 26 30) (int_bound 10000))
-    (fun (l, m, bits, seed) ->
-      let n = 64 in
+      pair (int_range 3 11)
+        (quad (int_range 1 5) (int_range 1 4) (int_range 26 30) (int_bound 10000)))
+    (fun (logn, (l, m, bits, seed)) ->
+      let n = 1 lsl logn in
       let src_ps = Prime_gen.gen_primes ~bits ~n ~count:l () in
       let src = Basis.of_primes src_ps in
       let dst = Basis.of_primes (Prime_gen.gen_primes ~bits:28 ~n ~count:m ~avoid:src_ps ()) in
       let rng = Rng.create ~seed in
       let x = Rns_poly.random ~n ~basis:src ~domain:Rns_poly.Coeff rng in
       let fast = Base_conv.convert x ~dst in
-      let naive = Base_conv.convert_oracle x ~dst in
+      let naive = Base_conv_ref.convert x ~dst in
       List.for_all
         (fun k ->
           Limb_buf.equal (Rns_poly.unsafe_limb_view fast k) (Rns_poly.unsafe_limb_view naive k))

@@ -80,11 +80,6 @@ let test_split_pins () =
         (Float.of_int s.Cost.n1 > sqrt (Float.of_int d)))
     [ 64; 128; 256 ]
 
-let test_calibrate_fallback () =
-  let w = Cost.calibrate ~path:"/nonexistent/bench.json" () in
-  Alcotest.(check (float 0.0)) "falls back to default" Cost.default.Cost.w_rotate_hoisted
-    w.Cost.w_rotate_hoisted
-
 (* --- plan vs. lowering: counts must agree exactly ------------------------- *)
 
 let check_counts name g plan =
@@ -266,7 +261,6 @@ let suite =
       Alcotest.test_case "graph shapes" `Quick test_shapes;
       Alcotest.test_case "shape errors" `Quick test_shape_errors;
       Alcotest.test_case "BSGS split pins" `Quick test_split_pins;
-      Alcotest.test_case "calibration fallback" `Quick test_calibrate_fallback;
       Alcotest.test_case "plan matches lowering" `Quick test_plan_matches_lowering;
       Alcotest.test_case "planner beats naive packing" `Quick test_planner_beats_naive;
       Alcotest.test_case "matvec bit-identical" `Quick test_matvec_bit_identical;

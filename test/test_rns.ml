@@ -4,6 +4,7 @@
 open Cinnamon_rns
 module Rng = Cinnamon_util.Rng
 module B = Cinnamon_util.Bigint
+module Ntt_ref = Cinnamon_oracle.Ntt_ref
 
 let qtest ?(count = 100) name gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
@@ -124,7 +125,7 @@ let test_ntt_convolution () =
   let b = Array.init n_test (fun _ -> Rng.int rng q) in
   let fa = ntt_fwd plan a and fb = ntt_fwd plan b in
   let prod = Array.init n_test (fun i -> Modarith.mul m fa.(i) fb.(i)) in
-  Alcotest.(check (array int)) "negacyclic convolution" (Ntt.negacyclic_mul_naive m a b)
+  Alcotest.(check (array int)) "negacyclic convolution" (Ntt_ref.negacyclic_mul_naive m a b)
     (ntt_inv plan prod)
 
 let test_ntt_linear =
@@ -232,7 +233,7 @@ let test_rns_mul_matches_naive () =
   for i = 0 to 1 do
     let m = Basis.modulus b i in
     let naive =
-      Ntt.negacyclic_mul_naive m
+      Ntt_ref.negacyclic_mul_naive m
         (limb_arr (Rns_poly.to_coeff x) i)
         (limb_arr (Rns_poly.to_coeff y) i)
     in
@@ -291,7 +292,7 @@ let test_ntt_mul_random_shapes =
       let b = Array.init n (fun _ -> Rng.int rng q) in
       let fa = ntt_fwd plan a and fb = ntt_fwd plan b in
       let prod = Array.init n (fun i -> Modarith.mul m fa.(i) fb.(i)) in
-      ntt_inv plan prod = Ntt.negacyclic_mul_naive m a b)
+      ntt_inv plan prod = Ntt_ref.negacyclic_mul_naive m a b)
 
 let limbs_equal a b =
   List.for_all
@@ -377,7 +378,7 @@ let test_ntt_into_matches () =
   let a = Array.init n_test (fun _ -> Rng.int rng q) in
   let dst = Limb_buf.create n_test in
   Ntt.forward_into plan ~src:(Limb_buf.of_int_array a) ~dst;
-  Alcotest.(check (array int)) "forward_into = oracle" (Ntt.forward_oracle plan a)
+  Alcotest.(check (array int)) "forward_into = oracle" (Ntt_ref.forward ~q a)
     (Limb_buf.to_int_array dst);
   let inv = Limb_buf.create n_test in
   Ntt.inverse_into plan ~src:dst ~dst:inv;
@@ -385,7 +386,7 @@ let test_ntt_into_matches () =
   (* aliasing src == dst *)
   let b = Limb_buf.of_int_array a in
   Ntt.forward_into plan ~src:b ~dst:b;
-  Alcotest.(check (array int)) "aliased forward_into" (Ntt.forward_oracle plan a)
+  Alcotest.(check (array int)) "aliased forward_into" (Ntt_ref.forward ~q a)
     (Limb_buf.to_int_array b)
 
 (* --- Base_conv / Mod_updown ---------------------------------------------------- *)
@@ -430,7 +431,7 @@ let test_base_conv_exact_oracle () =
   (* small values convert exactly (no overflow ambiguity): build from
      small coefficients *)
   let x = Rns_poly.of_coeffs ~basis:src ~domain:Rns_poly.Coeff (Array.init n_test (fun i -> i - 32)) in
-  let exact = Base_conv.convert_exact x ~dst in
+  let exact = Cinnamon_oracle.Base_conv_ref.convert_exact x ~dst in
   for i = 0 to n_test - 1 do
     Alcotest.(check (float 1e-9)) "exact preserves value"
       (Float.of_int (i - 32))
