@@ -881,7 +881,7 @@ let kernels () =
   let hctx = Eval.context ?pool hparams hek in
   let nrot = List.length rots in
   let hoisted_us =
-    1e6 *. time_it ~reps:5 (fun () -> ignore (Hoisting.rotate_many ?pool hparams hek hct rots))
+    1e6 *. time_it ~reps:5 (fun () -> ignore (Eval.rotate_many hctx hct rots))
   in
   let plain_us =
     1e6 *. time_it ~reps:5 (fun () -> List.iter (fun r -> ignore (Eval.rotate hctx hct r)) rots)

@@ -40,10 +40,19 @@ val sk_over : secret_key -> Basis.t -> Rns_poly.t
 
 val gen_public_key : Params.t -> secret_key -> Cinnamon_util.Rng.t -> public_key
 
-(** Gadget scalars P·g{_i} mod each prime of Q{_L} ∪ P for a digit given
-    by its limb indices (digits need not be contiguous — output-
-    aggregation keyswitching uses the round-robin chip partition). *)
-val gadget_scalars_for : Params.t -> digit_indices:int list -> int array
+(** Switch key for [s_from] → s ([s_from] over Q{_L} ∪ P, Eval), one
+    pair per digit of [digits], each a list of limb indices of Q{_L}
+    (default: the standard ranges of [Params.digit_ranges]).  Digits
+    need not be contiguous: output-aggregation keyswitching uses the
+    round-robin chip partition.  Draws each digit's [a], then its
+    error, digit by digit. *)
+val gen_switch_key :
+  Params.t ->
+  secret_key ->
+  ?digits:int list list ->
+  s_from:Rns_poly.t ->
+  Cinnamon_util.Rng.t ->
+  switch_key
 
 val gen_relin_key : Params.t -> secret_key -> Cinnamon_util.Rng.t -> switch_key
 

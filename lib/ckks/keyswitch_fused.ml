@@ -1,6 +1,7 @@
 (* Fused hybrid keyswitching — the streaming, limb-major engine, and
-   the only keyswitch dataflow in the library: Eval, Hoisting,
-   Bootstrap and the parallel algorithms of Keyswitch_alg all run on it.
+   the only keyswitch dataflow in the library: Eval (its hoisted
+   rotations included), Bootstrap and the parallel algorithms of
+   Keyswitch_alg all run on it.
 
    Same mathematics as the textbook whole-polynomial keyswitch (digit
    split, mod-up, inner product, mod-down; kept as the oracle in the

@@ -127,24 +127,8 @@ let run_output_aggregation params rr_swk c ~chips cnt =
 (* A switch key for the round-robin digit layout over [chips] chips at
    the top level.  Digit c = limb indices ≡ c (mod chips). *)
 let gen_round_robin_key params sk ~s_from ~chips rng =
-  let qp = Params.qp_basis params in
-  let n = params.Params.n in
-  let s_to = Keys.sk_over sk qp in
   let limbs = params.Params.levels + 1 in
-  let make c =
-    let idx = chip_indices ~chips ~limbs c in
-    let a = Rns_poly.random ~n ~basis:qp ~domain:Rns_poly.Eval rng in
-    let e = Keys.sample_error params ~basis:qp rng in
-    let scal = Keys.gadget_scalars_for params ~digit_indices:idx in
-    let key_term = Rns_poly.scalar_mul_per_limb s_from (fun i -> scal.(i)) in
-    let b = Rns_poly.add (Rns_poly.add (Rns_poly.neg (Rns_poly.mul a s_to)) e) key_term in
-    (b, a)
-  in
-  let pairs = List.init chips make in
-  {
-    Keys.swk_b = Array.of_list (List.map fst pairs);
-    Keys.swk_a = Array.of_list (List.map snd pairs);
-  }
+  Keys.gen_switch_key params sk ~digits:(List.init chips (chip_indices ~chips ~limbs)) ~s_from rng
 
 (* --- dispatcher ----------------------------------------------------------- *)
 

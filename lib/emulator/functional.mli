@@ -1,8 +1,8 @@
 (** Functional emulation of compiled programs: execute a ciphertext-
-    level program on real encrypted data, routing every keyswitch
-    through the parallel algorithm the compiler's pass selected, with
-    explicit per-chip placement — the end-to-end correctness argument
-    for the compiler (the paper's CPU-emulator validation, §6.2). *)
+    level program on real encrypted data through [Eval], with every
+    keyswitch swapped for the parallel algorithm the compiler's pass
+    selected — the end-to-end correctness argument for the compiler
+    (the paper's CPU-emulator validation, §6.2). *)
 
 open Cinnamon_ckks
 open Cinnamon_ir
@@ -45,6 +45,8 @@ val make_env :
   poly:Poly_ir.t ->
   env
 
-(** Execute a program; returns the named output ciphertexts.  Raises on
-    Bootstrap nodes (emulated at kernel granularity; see DESIGN.md). *)
+(** Execute a program; returns the named output ciphertexts.  Raises
+    [Cinnamon_util.Error] [Invalid_input] on an input missing from
+    [inputs], a rotation without a key, and Bootstrap nodes (emulated
+    at kernel granularity; see DESIGN.md). *)
 val run : env -> Ct_ir.t -> (string * Ciphertext.t) list

@@ -4,7 +4,7 @@
 
     The asymmetry that drives the BSGS split choice: the baby rotations
     of a diagonal matvec all rotate {e one} ciphertext, so they share a
-    single decomposition (PR-8 hoisting, [Hoisting.rotate_many]) and
+    single decomposition (hoisting, [Eval.rotate_many]) and
     each extra baby costs only the key-MAC + mod-down share, while each
     giant step rotates a {e different} group sum and pays a full
     keyswitch.  The optimal split therefore leans n1 > sqrt(D).

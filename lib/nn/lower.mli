@@ -9,7 +9,7 @@
       test);
     - matvec-compatible: diagonal matmuls go through
       [Dsl.bsgs_matvec ?g], so baby rotations form the input-broadcast
-      batches the keyswitch pass hoists ([Hoisting.rotate_many]) and a
+      batches the keyswitch pass hoists ([Eval.rotate_many]) and a
       [Sqrt_split] plan reproduces the hand [matvec-<n>] kernels
       byte-identically;
     - plaintext naming: diagonal matmuls bind [w.diagI], column

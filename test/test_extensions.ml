@@ -24,7 +24,7 @@ let test_hoisted_matches_plain_rotation () =
   let rng = Rng.create ~seed:1 in
   let xs = Array.init 64 (fun i -> Float.of_int i /. 128.0) in
   let ct = Encrypt.encrypt_real params pk xs rng in
-  let results = Hoisting.rotate_many params ek ct [ 1; 3; 8 ] in
+  let results = Eval.rotate_many (Eval.context params ek) ct [ 1; 3; 8 ] in
   List.iter
     (fun (rot, rct) ->
       let got = Encrypt.decrypt_real params sk rct in
@@ -39,19 +39,19 @@ let test_hoisted_zero_is_identity () =
   let params, _, pk, ek = Lazy.force env in
   let rng = Rng.create ~seed:2 in
   let ct = Encrypt.encrypt_real params pk (Array.make 64 0.25) rng in
-  match Hoisting.rotate_many params ek ct [ 0 ] with
+  match Eval.rotate_many (Eval.context params ek) ct [ 0 ] with
   | [ (0, r) ] -> Alcotest.(check bool) "same ciphertext" true (r == ct)
   | _ -> Alcotest.fail "unexpected result shape"
 
 let test_hoisted_shares_decomposition () =
-  (* hoisting must agree with Eval.rotate bit-for-bit in the decoded
-     domain, for many amounts from one precompute *)
+  (* hoisting must agree with Eval.rotate after decryption (within
+     noise), for many amounts from one shared decomposition *)
   let params, sk, pk, ek = Lazy.force env in
   let ctx = Eval.context params ek in
   let rng = Rng.create ~seed:3 in
   let xs = Array.init 64 (fun i -> sin (Float.of_int i)) in
   let ct = Encrypt.encrypt_real params pk xs rng in
-  let hoisted = Hoisting.rotate_many params ek ct [ 2; 5; 13 ] in
+  let hoisted = Eval.rotate_many ctx ct [ 2; 5; 13 ] in
   List.iter
     (fun (rot, rct) ->
       let a = Encrypt.decrypt_real params sk rct in

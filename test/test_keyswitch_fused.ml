@@ -9,11 +9,11 @@
        whole-polynomial oracle) across every level prefix of the
        modulus chain and across dnum = 1..4 digit layouts (partial last
        digits included);
-     - fused hoisted rotation = the reference hoisting path in
+     - Eval.rotate_many = the reference hoisting path in
        Cinnamon_oracle.Hoisting_ref (extend_digit + automorphism +
        canonical inner product + whole-polynomial mod-down), bitwise;
      - jobs=1 vs jobs=4 bit-identity for both;
-     - rotate_sum (one mod-down for the whole batch) decrypts to the
+     - Eval.rotate_sum (one mod-down for the whole batch) decrypts to the
        sum of individual rotations within CKKS noise. *)
 
 open Cinnamon_ckks
@@ -104,31 +104,29 @@ let encrypt_test_vector ?(seed = 21) (params : Params.t) pk =
 let test_hoisted_fused_matches_reference () =
   let params, _, pk, ek = Lazy.force env in
   let _, ct = encrypt_test_vector params pk in
-  let pre = Hoisting.precompute params ct.Ciphertext.c1 in
   let pre_ref = Oracle.Hoisting_ref.precompute_ref params ct.Ciphertext.c1 in
   List.iter
-    (fun rot ->
+    (fun (rot, fused) ->
       let swk = Keys.find_rotation_key ek (Keys.canonical_rotation ~n:(Ciphertext.n ct) rot) in
-      let fused = Hoisting.rotate_hoisted params pre swk ct ~rot in
       let refr = Oracle.Hoisting_ref.rotate_hoisted_ref params pre_ref swk ct ~rot in
       Alcotest.(check bool)
         (Printf.sprintf "rot %d bitwise" rot)
         true
         (Rns_poly.equal fused.Ciphertext.c0 refr.Ciphertext.c0
         && Rns_poly.equal fused.Ciphertext.c1 refr.Ciphertext.c1))
-    [ 1; 3; 8; 13 ]
+    (Eval.rotate_many (Eval.context params ek) ct [ 1; 3; 8; 13 ])
 
 let test_hoisted_parallel_deterministic () =
   let params, _, pk, ek = Lazy.force env in
   let _, ct = encrypt_test_vector ~seed:22 params pk in
-  let swk = Keys.find_rotation_key ek 5 in
-  let pre = Hoisting.precompute params ct.Ciphertext.c1 in
-  let seq = Hoisting.rotate_hoisted params pre swk ct ~rot:5 in
+  let rotate5 ?pool () =
+    List.assoc 5 (Eval.rotate_many (Eval.context ?pool params ek) ct [ 5 ])
+  in
+  let seq = rotate5 () in
   List.iter
     (fun jobs ->
       with_pool jobs (fun pool ->
-          let pre_p = Hoisting.precompute ~pool params ct.Ciphertext.c1 in
-          let par = Hoisting.rotate_hoisted ~pool params pre_p swk ct ~rot:5 in
+          let par = rotate5 ~pool () in
           Alcotest.(check bool)
             (Printf.sprintf "hoisted jobs=%d bitwise" jobs)
             true
@@ -143,7 +141,7 @@ let test_rotate_sum_matches_individual_rotations () =
   let xs, ct = encrypt_test_vector ~seed:23 params pk in
   let slots = params.Params.slots in
   let rots = [ 0; 1; 3; 8 ] in
-  let summed = Hoisting.rotate_sum params ek ct rots in
+  let summed = Eval.rotate_sum (Eval.context params ek) ct rots in
   let got = Encrypt.decrypt_real params sk summed in
   let expect =
     Array.init slots (fun i ->
@@ -158,9 +156,9 @@ let test_rotate_sum_parallel_deterministic () =
   let params, _, pk, ek = Lazy.force env in
   let _, ct = encrypt_test_vector ~seed:24 params pk in
   let rots = [ 1; 5; 13 ] in
-  let seq = Hoisting.rotate_sum params ek ct rots in
+  let seq = Eval.rotate_sum (Eval.context params ek) ct rots in
   with_pool 4 (fun pool ->
-      let par = Hoisting.rotate_sum ~pool params ek ct rots in
+      let par = Eval.rotate_sum (Eval.context ~pool params ek) ct rots in
       Alcotest.(check bool)
         "rotate_sum jobs=4 bitwise" true
         (Rns_poly.equal seq.Ciphertext.c0 par.Ciphertext.c0
