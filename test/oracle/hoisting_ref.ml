@@ -1,5 +1,5 @@
 (* Hoisted rotations on whole polynomials — the reference for
-   Cinnamon_ckks.Hoisting's fused path: extend each digit via
+   Cinnamon_ckks.Eval.rotate_many's fused path: extend each digit via
    Keyswitch.extend_digit, permute with Rns_poly.automorphism, multiply
    and add canonically, mod-down with Mod_updown.mod_down.  The fused
    path must match these bitwise. *)

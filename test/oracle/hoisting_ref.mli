@@ -1,5 +1,6 @@
 (** Hoisted rotations on whole polynomials: the original per-digit
-    formulation, kept as the bitwise oracle for {!Cinnamon_ckks.Hoisting}. *)
+    formulation, kept as the bitwise oracle for
+    {!Cinnamon_ckks.Eval.rotate_many}. *)
 
 open Cinnamon_rns
 open Cinnamon_ckks
