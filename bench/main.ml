@@ -4,8 +4,9 @@
    (Tables 1-3, Figures 6, 11-16, and the §4.3.1 / §7.4 headline
    claims), printing measured-vs-paper values; EXPERIMENTS.md records
    the comparison.  Also times the functional OCaml kernels (NTT,
-   base conversion, automorphism, keyswitch, hoisted rotations); the
-   measured NTT calibrates the CPU baseline.
+   base conversion, automorphism, keyswitch, output-aggregation
+   keyswitch, hoisted rotations); the measured NTT calibrates the CPU
+   baseline.
 
    Usage: main.exe [section ...] [--jobs N] [--quick] [--cache-dir DIR]
                    [--bench-out FILE] [--trace FILE] [--metrics]
@@ -862,10 +863,40 @@ let kernels () =
   bench_keyswitch "keyswitch" (Lazy.force Cinnamon_ckks.Params.small);
   bench_keyswitch "keyswitch"
     (Lazy.force (if !quick then Cinnamon_ckks.Params.medium else Cinnamon_ckks.Params.large));
+  (* output aggregation at 4 chips (Params.small: 9 limbs, so the
+     widest chip share is 3 = alpha): Keyswitch_alg.run, as the
+     functional emulator calls it (one shared mod-down), against the
+     per-chip whole-polynomial reference — the run FAILS on any
+     divergence *)
+  let open Cinnamon_ckks in
+  let oparams = Lazy.force Params.small in
+  let orng = Cinnamon_util.Rng.create ~seed:10 in
+  let osk = Keys.gen_secret_key oparams orng in
+  let os = Keys.sk_over osk (Params.qp_basis oparams) in
+  let rr =
+    Cinnamon_compiler.Keyswitch_alg.gen_round_robin_key oparams osk ~s_from:(Rns_poly.mul os os)
+      ~chips:4 orng
+  in
+  let on = oparams.Params.n in
+  let oc = Rns_poly.random ~n:on ~basis:oparams.Params.q_basis ~domain:Rns_poly.Eval orng in
+  let oa_fused () =
+    Cinnamon_compiler.Keyswitch_alg.(
+      run oparams ~algorithm:Cinnamon_ir.Poly_ir.Output_aggregation ~chips:4
+        ~key:(Round_robin rr) oc (new_counter ()))
+  in
+  let oa_ref () = Cinnamon_oracle.Keyswitch_alg_ref.output_aggregation oparams rr oc ~chips:4 in
+  let (f0, f1), (r0, r1) = (oa_fused (), oa_ref ()) in
+  if not (Rns_poly.equal f0 r0 && Rns_poly.equal f1 r1) then
+    failwith "kernel microbench: fused output aggregation diverged from the per-chip reference";
+  let olimbs = Basis.size oparams.Params.q_basis in
+  let oa_us = 1e6 *. time_it ~reps:5 oa_fused in
+  let oa_ref_us = 1e6 *. time_it ~reps:5 oa_ref in
+  record_micro ~kernel:"keyswitch_output_agg4" ~n:on ~limbs:olimbs oa_us;
+  record_micro ~kernel:"keyswitch_output_agg4_oracle" ~n:on ~limbs:olimbs oa_ref_us;
+  record_micro ~kernel:"keyswitch_output_agg4_speedup_x" ~n:on ~limbs:olimbs (oa_ref_us /. oa_us);
   (* hoisted rotations: k rotations from ONE shared decomposition
      (Halevi-Shoup through the fused engine: per rotation a permuted
      MAC + mod-down) vs k independent Eval.rotate keyswitches *)
-  let open Cinnamon_ckks in
   let hparams = Lazy.force Params.small in
   let hrng = Cinnamon_util.Rng.create ~seed:9 in
   let hsk = Keys.gen_secret_key hparams hrng in

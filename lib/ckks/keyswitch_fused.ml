@@ -49,7 +49,10 @@
    pair it multiplies.  The standard layout (Params.digit_ranges
    truncated to the level) and one chip's round-robin share (output
    aggregation, Keyswitch_alg) are two values of the same type, and the
-   plan memo holds one plan per (level, layout).
+   plan memo holds one plan per (level, layout).  Output aggregation
+   sums one keyswitch per share; keyswitch_shares computes that sum
+   with ONE mod-down, since only the mod-down's stage-1 scaling is
+   non-linear and runs per share.
 
    Parallelism: phases fan out across limbs (never within one limb)
    with disjoint write ranges, so each item's scalar sequence is
@@ -235,82 +238,149 @@ let key_views pl (part : Rns_poly.t array) k =
 let key_views_b pl (swk : Keys.switch_key) k = key_views pl swk.Keys.swk_b k
 let key_views_a pl (swk : Keys.switch_key) k = key_views pl swk.Keys.swk_a k
 
-(* Phase 3: fused mod-down of both accumulators (Eval in, Eval out). *)
-let mod_down2_plan pool pl acc0 acc1 =
-  let n = pl.pl_n in
-  let tq = pl.pl_tq and alpha = pl.pl_alpha in
+(* Phase 3, stage 1: INTT the alpha P-limbs of both accumulators with
+   the P-basis q̂^-1 folded in — sums.(j) for acc0, sums.(alpha + j)
+   for acc1.  With [~first:false] the canonical results are added onto
+   what [sums] already holds, as plain integers: stage 1 is the one
+   non-linear step of the mod-down, so each share of an output
+   aggregation runs it on its own accumulators and only the integer
+   sums go on to stage 2. *)
+let mod_down_scale pool pl acc0 acc1 ~(sums : Limb_buf.t array) ~first =
+  let n = pl.pl_n and tq = pl.pl_tq and alpha = pl.pl_alpha in
+  run_items pool (2 * alpha) (fun i ->
+      let acc = if i < alpha then acc0 else acc1 in
+      let j = i mod alpha in
+      let k = tq + j in
+      let src = Rns_poly.unsafe_limb_view acc k in
+      let scale = pl.pl_down_scale.(j) in
+      if first then Ntt.inverse_scaled_into pl.pl_ntt.(k) ~scale ~src ~dst:sums.(i)
+      else
+        Scratch.with_buf ~n (fun y ->
+            Ntt.inverse_scaled_into pl.pl_ntt.(k) ~scale ~src ~dst:y;
+            let sum = sums.(i) in
+            for x = 0 to n - 1 do
+              Bigarray.Array1.unsafe_set sum x
+                (Int64.add (Bigarray.Array1.unsafe_get sum x) (Bigarray.Array1.unsafe_get y x))
+            done))
+
+(* Phase 3, stage 2: per Q_l limb, one conversion column from the
+   stage-1 values (sums of [shares] canonical residues), one NTT, and
+   the fused (acc - conv)·P^-1 Shoup pass — all exact linear maps mod
+   q_k.  Eval in, Eval out. *)
+let mod_down_columns pool pl ~shares acc0 acc1 ~(sums : Limb_buf.t array) =
+  let n = pl.pl_n and tq = pl.pl_tq and alpha = pl.pl_alpha in
   let out0 = Rns_poly.create ~n ~basis:pl.pl_q ~domain:Rns_poly.Eval in
   let out1 = Rns_poly.create ~n ~basis:pl.pl_q ~domain:Rns_poly.Eval in
-  Scratch.with_bufs ~n ~count:(2 * alpha) (fun sc ->
-      run_items pool (2 * alpha) (fun i ->
-          let acc = if i < alpha then acc0 else acc1 in
-          let j = i mod alpha in
-          let k = tq + j in
-          Ntt.inverse_scaled_into pl.pl_ntt.(k) ~scale:pl.pl_down_scale.(j)
-            ~src:(Rns_poly.unsafe_limb_view acc k) ~dst:sc.(i));
-      let sc0 = Array.sub sc 0 alpha and sc1 = Array.sub sc alpha alpha in
-      run_items pool (2 * tq) (fun i ->
-          let k = i mod tq in
-          let acc, scl, out = if i < tq then (acc0, sc0, out0) else (acc1, sc1, out1) in
-          let md = Basis.modulus pl.pl_q k in
-          Scratch.with_buf ~n (fun col ->
-              Base_conv.accumulate_column_into pl.pl_down_tbl ~scaled:scl ~dst:col ~k;
-              Ntt.forward_into pl.pl_ntt.(k) ~src:col ~dst:col;
-              Fused_mac.sub_mul_shoup_range ~q:(Modarith.q md) ~w:pl.pl_p_inv.(k)
-                ~w_sh:pl.pl_p_inv_sh.(k)
-                ~x:(Rns_poly.unsafe_limb_view acc k)
-                ~y:col
-                ~dst:(Rns_poly.unsafe_limb_view out k)
-                ~lo:0 ~hi:n)));
+  let sc0 = Array.sub sums 0 alpha and sc1 = Array.sub sums alpha alpha in
+  run_items pool (2 * tq) (fun i ->
+      let k = i mod tq in
+      let acc, scl, out = if i < tq then (acc0, sc0, out0) else (acc1, sc1, out1) in
+      let md = Basis.modulus pl.pl_q k in
+      Scratch.with_buf ~n (fun col ->
+          Base_conv.accumulate_column_into ~shares pl.pl_down_tbl ~scaled:scl ~dst:col ~k;
+          Ntt.forward_into pl.pl_ntt.(k) ~src:col ~dst:col;
+          Fused_mac.sub_mul_shoup_range ~q:(Modarith.q md) ~w:pl.pl_p_inv.(k)
+            ~w_sh:pl.pl_p_inv_sh.(k)
+            ~x:(Rns_poly.unsafe_limb_view acc k)
+            ~y:col
+            ~dst:(Rns_poly.unsafe_limb_view out k)
+            ~lo:0 ~hi:n));
   (out0, out1)
+
+(* Phase 3: fused mod-down of both accumulators (Eval in, Eval out). *)
+let mod_down2_plan pool pl acc0 acc1 =
+  Scratch.with_bufs ~n:pl.pl_n ~count:(2 * pl.pl_alpha) (fun sums ->
+      mod_down_scale pool pl acc0 acc1 ~sums ~first:true;
+      mod_down_columns pool pl ~shares:1 acc0 acc1 ~sums)
 
 let check_input name pl c =
   if Rns_poly.domain c <> Rns_poly.Eval then invalid_arg (name ^ ": Eval-domain input required");
   if Rns_poly.n c <> pl.pl_n then invalid_arg (name ^ ": ring dimension mismatch")
 
-(* The fused keyswitch over a digit layout ([None] = the standard
-   one): bitwise equal to the whole-polynomial reference for every level
-   prefix, digit layout, and job count. *)
-let keyswitch_with ?pool params layout (swk : Keys.switch_key) c =
-  let q_l = Rns_poly.basis c in
-  let pl = plan_for params ~q_l layout in
+(* Phases 1 and 2 of one plan: decompose [c], then per output limb of
+   Q_l ∪ P extend every digit and MAC it into [acc0]/[acc1] against
+   its key pair.  Canonical in, canonical out, so calls chain. *)
+let extend_mac pool pl (swk : Keys.switch_key) c ~acc0 ~acc1 =
+  let n = pl.pl_n in
+  Scratch.with_bufs ~n ~count:pl.pl_tq (fun scaled ->
+      let digit_scaled =
+        Tel.Span.with_ ~cat:"ks_fused" "ks_fused.decompose" (fun () ->
+            decompose_scaled pool pl c ~scaled)
+      in
+      Tel.Span.with_ ~cat:"ks_fused" "ks_fused.extend_mac" (fun () ->
+          run_items pool pl.pl_t (fun k ->
+              let ndig = Array.length pl.pl_digits in
+              let q = Basis.value pl.pl_target k in
+              Scratch.with_bufs ~n ~count:ndig (fun cols ->
+                  let ext = Array.make ndig cols.(0) in
+                  for d = 0 to ndig - 1 do
+                    let dp = pl.pl_digits.(d) in
+                    let col = dp.d_col.(k) in
+                    if col < 0 then ext.(d) <- Rns_poly.unsafe_limb_view c k
+                    else begin
+                      Base_conv.accumulate_column_into dp.d_tbl ~scaled:digit_scaled.(d)
+                        ~dst:cols.(d) ~k:col;
+                      Ntt.forward_into pl.pl_ntt.(k) ~src:cols.(d) ~dst:cols.(d);
+                      ext.(d) <- cols.(d)
+                    end
+                  done;
+                  mac_limb ~q ~perm:None ~ext ~kb:(key_views_b pl swk k)
+                    ~ka:(key_views_a pl swk k)
+                    ~acc0:(Rns_poly.unsafe_limb_view acc0 k)
+                    ~acc1:(Rns_poly.unsafe_limb_view acc1 k)
+                    ~n))))
+
+(* The fused keyswitch over the standard digit layout: bitwise equal
+   to the whole-polynomial reference for every level prefix and job
+   count. *)
+let keyswitch ?pool params swk c =
+  let pl = plan_for params ~q_l:(Rns_poly.basis c) None in
   check_input "Keyswitch_fused.keyswitch" pl c;
   let n = pl.pl_n in
   Tel.Span.with_ ~cat:"ks_fused" "ks_fused.keyswitch" (fun () ->
       let acc0 = Rns_poly.create ~n ~basis:pl.pl_target ~domain:Rns_poly.Eval in
       let acc1 = Rns_poly.create ~n ~basis:pl.pl_target ~domain:Rns_poly.Eval in
-      Scratch.with_bufs ~n ~count:pl.pl_tq (fun scaled ->
-          let digit_scaled =
-            Tel.Span.with_ ~cat:"ks_fused" "ks_fused.decompose" (fun () ->
-                decompose_scaled pool pl c ~scaled)
-          in
-          Tel.Span.with_ ~cat:"ks_fused" "ks_fused.extend_mac" (fun () ->
-              run_items pool pl.pl_t (fun k ->
-                  let ndig = Array.length pl.pl_digits in
-                  let q = Basis.value pl.pl_target k in
-                  Scratch.with_bufs ~n ~count:ndig (fun cols ->
-                      let ext = Array.make ndig cols.(0) in
-                      for d = 0 to ndig - 1 do
-                        let dp = pl.pl_digits.(d) in
-                        let col = dp.d_col.(k) in
-                        if col < 0 then ext.(d) <- Rns_poly.unsafe_limb_view c k
-                        else begin
-                          Base_conv.accumulate_column_into dp.d_tbl ~scaled:digit_scaled.(d)
-                            ~dst:cols.(d) ~k:col;
-                          Ntt.forward_into pl.pl_ntt.(k) ~src:cols.(d) ~dst:cols.(d);
-                          ext.(d) <- cols.(d)
-                        end
-                      done;
-                      mac_limb ~q ~perm:None ~ext ~kb:(key_views_b pl swk k)
-                        ~ka:(key_views_a pl swk k)
-                        ~acc0:(Rns_poly.unsafe_limb_view acc0 k)
-                        ~acc1:(Rns_poly.unsafe_limb_view acc1 k)
-                        ~n))));
+      extend_mac pool pl swk c ~acc0 ~acc1;
       Tel.Span.with_ ~cat:"ks_fused" "ks_fused.mod_down" (fun () ->
           mod_down2_plan pool pl acc0 acc1))
 
-let keyswitch ?pool params swk c = keyswitch_with ?pool params None swk c
-let keyswitch_digits ?pool params digits swk c = keyswitch_with ?pool params (Some digits) swk c
+(* Σ over digits of each digit's own mod-downed keyswitch (output
+   aggregation's chip shares), with one mod-down for the whole sum.
+   The mod-down is stage 1 (the non-linear scaled INTT of the P-limbs)
+   followed by exact linear maps mod q_k (conversion column, NTT,
+   (acc - col)·P^-1), so the sum of the per-share results is those
+   linear maps applied once to the integer sum of the shares' stage-1
+   values and to the sum of their Q-limb accumulators.  The Q-limbs
+   therefore share one MAC accumulator across shares; only the alpha
+   P-limbs restart per share.  Canonical values mod q_k throughout, so
+   the result is bitwise the sum of the per-share keyswitches. *)
+let keyswitch_shares ?pool params digits (swk : Keys.switch_key) c =
+  let q_l = Rns_poly.basis c in
+  let plans = List.map (fun d -> plan_for params ~q_l (Some [ d ])) digits in
+  let pl0 =
+    match plans with
+    | pl :: _ -> pl
+    | [] -> invalid_arg "Keyswitch_fused.keyswitch_shares: no shares"
+  in
+  check_input "Keyswitch_fused.keyswitch_shares" pl0 c;
+  let n = pl0.pl_n and tq = pl0.pl_tq in
+  Tel.Span.with_ ~cat:"ks_fused" "ks_fused.keyswitch" (fun () ->
+      let acc0 = Rns_poly.create ~n ~basis:pl0.pl_target ~domain:Rns_poly.Eval in
+      let acc1 = Rns_poly.create ~n ~basis:pl0.pl_target ~domain:Rns_poly.Eval in
+      Scratch.with_bufs ~n ~count:(2 * pl0.pl_alpha) (fun sums ->
+          List.iteri
+            (fun s pl ->
+              if s > 0 then
+                for j = 0 to pl.pl_alpha - 1 do
+                  Limb_buf.fill (Rns_poly.unsafe_limb_view acc0 (tq + j)) 0;
+                  Limb_buf.fill (Rns_poly.unsafe_limb_view acc1 (tq + j)) 0
+                done;
+              extend_mac pool pl swk c ~acc0 ~acc1;
+              Tel.Span.with_ ~cat:"ks_fused" "ks_fused.mod_down" (fun () ->
+                  mod_down_scale pool pl acc0 acc1 ~sums ~first:(s = 0)))
+            plans;
+          Tel.Span.with_ ~cat:"ks_fused" "ks_fused.mod_down" (fun () ->
+              mod_down_columns pool pl0 ~shares:(List.length plans) acc0 acc1 ~sums)))
 
 (* --- shared decomposition (hoisting support) -------------------------- *)
 

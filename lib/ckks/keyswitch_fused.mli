@@ -33,10 +33,13 @@ val keyswitch :
     one-digit layout. *)
 type digit = { limbs : int list; key : int }
 
-(** {!keyswitch} over an explicit digit layout.  Limbs outside every
-    digit contribute nothing.  Raises [Invalid_argument] on an empty
-    digit or on limbs that are unsorted, shared or outside Q_l. *)
-val keyswitch_digits :
+(** Output aggregation's keyswitch: the sum over [digits] of each
+    digit's own one-digit keyswitch, mod-downed — bitwise that sum, but
+    with one shared mod-down (only its stage-1 scaling runs per digit;
+    DESIGN.md, "Eval-domain mod-down").  Raises [Invalid_argument] on
+    an empty list, an empty digit, or limbs that are unsorted, repeated
+    or outside Q_l. *)
+val keyswitch_shares :
   ?pool:Cinnamon_pool.Pool.t ->
   Params.t ->
   digit list ->

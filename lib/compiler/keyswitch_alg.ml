@@ -3,10 +3,13 @@
    Each algorithm exists in two forms:
 
    1. A functional form [run] over real RNS polynomials.  Every
-      algorithm is a fused keyswitch (Cinnamon_ckks.Keyswitch_fused,
-      the library's one keyswitch dataflow) plus communication
-      accounting.  Communication (limbs crossing chips) is not observed
-      from data movement: it is counted with the analytic formulas
+      algorithm is checks, communication accounting and ONE call into
+      the fused engine (Cinnamon_ckks.Keyswitch_fused, the library's
+      one keyswitch dataflow): [keyswitch] for sequential, CiFHER and
+      input broadcast, [keyswitch_shares] for output aggregation, which
+      sums the chips' mod-downed partials with one shared mod-down.
+      Communication (limbs crossing chips) is not observed from data
+      movement: it is counted with the analytic formulas
       [count_broadcast] / [count_aggregate] below.
 
    2. A limb-IR emitter [emit] (in Lower_limb) that produces the
@@ -85,10 +88,12 @@ let run_input_broadcast params swk c ~chips cnt =
 (* The chips' modular limb shares are themselves used as the digits, so
    no input communication is needed.  Each chip mod-ups its share to
    the full basis and multiplies by its digit's evalkey; each partial is
-   mod-downed BEFORE aggregating — mod-down and aggregation commute up
-   to rounding noise (paper §4.3.1), and the aggregated payload then
-   spans only Q (l limbs, not l+k).  Requires a switch key with one
-   digit per chip partition — gen_round_robin_key below, legitimate by
+   mod-downed BEFORE aggregating, so the aggregated payload spans only
+   Q (l limbs, not l+k).  The emulator computes the aggregated sum
+   directly (Keyswitch_fused.keyswitch_shares): it is bitwise the sum
+   of the per-chip mod-downed partials, with the linear part of the
+   mod-down shared.  Requires a switch key with one digit per chip
+   partition — gen_round_robin_key below, legitimate by
    digit-selection freedom (paper: "implementations with all possible
    choices of digits are interchangeable").  A share wider than alpha
    would make the digit product exceed P (the invariant of
@@ -98,31 +103,21 @@ let run_output_aggregation params rr_swk c ~chips cnt =
   let alpha = params.Params.alpha in
   let share = Cinnamon_util.Bitops.cdiv limbs chips in
   if share > alpha then
-    Cinnamon_util.Error.fail Cinnamon_util.Error.Invalid_input
-      (Printf.sprintf
-         "Keyswitch_alg.run: output aggregation puts %d limbs on one of %d chips, more than \
-          alpha = %d"
-         share chips alpha);
-  let partials =
+    Cinnamon_util.Error.failf Cinnamon_util.Error.Invalid_input
+      "Keyswitch_alg.run: output aggregation puts %d limbs on one of %d chips, more than alpha \
+       = %d"
+      share chips alpha;
+  count_aggregate cnt ~limbs ~chips;
+  count_aggregate cnt ~limbs ~chips;
+  let shares =
     List.filter_map
       (fun chip ->
         match chip_indices ~chips ~limbs chip with
         | [] -> None
-        | idx ->
-          Some (Keyswitch_fused.keyswitch_digits params [ Keyswitch_fused.{ limbs = idx; key = chip } ] rr_swk c))
+        | idx -> Some Keyswitch_fused.{ limbs = idx; key = chip })
       (List.init chips Fun.id)
   in
-  count_aggregate cnt ~limbs ~chips;
-  count_aggregate cnt ~limbs ~chips;
-  match partials with
-  | [] -> assert false (* chip 0 owns limb 0 *)
-  | (k0, k1) :: rest ->
-    List.iter
-      (fun (p0, p1) ->
-        Rns_poly.add_into ~dst:k0 k0 p0;
-        Rns_poly.add_into ~dst:k1 k1 p1)
-      rest;
-    (k0, k1)
+  Keyswitch_fused.keyswitch_shares params shares rr_swk c
 
 (* A switch key for the round-robin digit layout over [chips] chips at
    the top level.  Digit c = limb indices ≡ c (mod chips). *)
@@ -137,11 +132,18 @@ type key_material =
   | Round_robin of Keys.switch_key (* digit = chip partition *)
 
 let run params ~algorithm ~chips ~key c cnt =
+  if chips < 1 then
+    Cinnamon_util.Error.failf Cinnamon_util.Error.Invalid_input
+      "Keyswitch_alg.run: %d chips, need at least 1" chips;
   match (algorithm, key) with
   | Cinnamon_ir.Poly_ir.Seq, Standard swk -> Keyswitch_fused.keyswitch params swk c
   | Cinnamon_ir.Poly_ir.Cifher_broadcast, Standard swk -> run_cifher params swk c ~chips cnt
   | Cinnamon_ir.Poly_ir.Input_broadcast, Standard swk -> run_input_broadcast params swk c ~chips cnt
   | Cinnamon_ir.Poly_ir.Output_aggregation, Round_robin swk ->
+    let pairs = Array.length swk.Keys.swk_b in
+    if pairs <> chips then
+      Cinnamon_util.Error.failf Cinnamon_util.Error.Invalid_input
+        "Keyswitch_alg.run: round-robin key made for %d chips, run at %d" pairs chips;
     run_output_aggregation params swk c ~chips cnt
   | _ ->
     Cinnamon_util.Error.fail Cinnamon_util.Error.Invalid_input

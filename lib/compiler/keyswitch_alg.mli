@@ -6,7 +6,8 @@
     Input broadcast and CiFHER are bit-identical to sequential
     keyswitching; output aggregation (digits = chip partitions) is
     decrypt-equivalent to it and bit-identical to its per-chip
-    whole-polynomial reference — all asserted by tests against the
+    whole-polynomial reference, though it runs one shared mod-down
+    instead of one per chip — all asserted by tests against the
     references under [test/oracle]. *)
 
 open Cinnamon_rns
@@ -34,8 +35,10 @@ type key_material = Standard of Keys.switch_key | Round_robin of Keys.switch_key
 
 (** Keyswitch [c] with [algorithm] across [chips], adding its
     communication to the counter.  Raises [Cinnamon_util.Error]
-    [Invalid_input] on an algorithm/key mismatch, and for output
-    aggregation when a chip's share of [c]'s limbs exceeds alpha. *)
+    [Invalid_input], before any work or counting, when [chips < 1], on
+    an algorithm/key mismatch, and for output aggregation when the
+    round-robin key's pair count is not [chips] or a chip's share of
+    [c]'s limbs exceeds alpha. *)
 val run :
   Params.t ->
   algorithm:Cinnamon_ir.Poly_ir.ks_algorithm ->

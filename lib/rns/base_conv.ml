@@ -43,6 +43,7 @@ type table = {
   qhat_inv : int array; (* (Q/q_j)^-1 mod q_j *)
   qhat_mod_p : int array array; (* [k].[j] = Q/q_j mod p_k *)
   reduce_src : bool array array; (* [k].[j]: q_j >= p_k, residue needs a pre-reduction *)
+  reduce_all : bool array; (* every source pre-reduced: the fallback for wide share sums *)
   batch : int array; (* [k]: accumulation terms per lazy reduction *)
 }
 
@@ -83,7 +84,15 @@ let make_table ~src ~dst =
         let bound = vmax * (pk - 1) in
         max 1 (max_int / max 1 bound))
   in
-  { src; dst; qhat_inv = Array.init l (Crt.qhat_inv c); qhat_mod_p; reduce_src; batch }
+  {
+    src;
+    dst;
+    qhat_inv = Array.init l (Crt.qhat_inv c);
+    qhat_mod_p;
+    reduce_src;
+    reduce_all = Array.make l true;
+    batch;
+  }
 
 let table ~src ~dst =
   let key = (Basis.to_list src, Basis.to_list dst) in
@@ -116,14 +125,25 @@ let scale_limb tbl x ~j ~(buf : Limb_buf.t) =
    destination polynomial.  The coefficient loop is unrolled by two
    (ring dimensions are powers of two >= 2); both lanes follow the
    same reduction trajectory, so the result is bitwise the scalar
-   sequence's. *)
-let accumulate_column_into tbl ~(scaled : Limb_buf.t array) ~(dst : Limb_buf.t) ~k =
+   sequence's.
+
+   With [shares] = S > 1 each source value is an integer sum of S
+   canonical residues (< S·q_j): terms grow S-fold, so the batch
+   shrinks to batch / S.  Where that falls below one term, every
+   source is pre-reduced instead, which bounds each term by
+   (p_k - 1)^2 whatever S is.  The column is the same residue mod p_k
+   either way: bitwise the sum mod p_k of the S per-share columns. *)
+let accumulate_column_into ?(shares = 1) tbl ~(scaled : Limb_buf.t array) ~(dst : Limb_buf.t) ~k
+    =
   let n = Limb_buf.length dst in
   let l = Array.length scaled in
   let qk = Basis.value tbl.dst k in
   let factors = tbl.qhat_mod_p.(k) in
-  let reduce_src = tbl.reduce_src.(k) in
-  let batch = tbl.batch.(k) in
+  let batch = tbl.batch.(k) / shares in
+  let reduce_src, batch =
+    if batch >= 1 then (tbl.reduce_src.(k), batch)
+    else (tbl.reduce_all, Fused_mac.terms_per_reduction ~q:qk)
+  in
   let i = ref 0 in
   while !i < n - 1 do
     let i0 = !i in

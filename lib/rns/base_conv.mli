@@ -30,8 +30,15 @@ val qhat_inv : table -> int -> int
     limbs into [dst] (length = ring dimension).  [scaled.(j)] must hold
     the canonical residues of limb [j] already multiplied by
     {!qhat_inv}[ j].  Lazy-reduction batched and unrolled; bitwise the
-    column {!convert} computes. *)
-val accumulate_column_into : table -> scaled:Limb_buf.t array -> dst:Limb_buf.t -> k:int -> unit
+    column {!convert} computes.
+
+    With [shares] = S (default 1), [scaled.(j)] may instead hold
+    integer sums of S such canonical values (each < S·q{_j}); the
+    column is then bitwise the sum mod the destination prime of the S
+    per-share columns.  The lazy batch shrinks S-fold, and every source
+    is pre-reduced where that leaves less than one term. *)
+val accumulate_column_into :
+  ?shares:int -> table -> scaled:Limb_buf.t array -> dst:Limb_buf.t -> k:int -> unit
 
 (** [convert x ~dst] base-converts [x] (which must be in coefficient
     domain) to basis [dst]. The result represents [x + e·Q] for some

@@ -174,6 +174,38 @@ let test_output_aggregation_share_exceeds_alpha () =
        than alpha = 3"
       (Cinnamon_util.Error.to_string e)
 
+(* The shared mod-down under a pool: output aggregation's one
+   keyswitch_shares call is bitwise the per-chip reference without a
+   pool and at jobs 1 and 2, at the top level and a truncated one. *)
+let test_output_aggregation_pool_deterministic () =
+  let params, _, _, rr4, _ = Lazy.force env in
+  List.iter
+    (fun level ->
+      let c = random_input ~seed:(60 + level) ~level params in
+      let limbs = level + 1 in
+      let shares =
+        List.init 4 (fun chip ->
+            let idx = List.filter (fun i -> i mod 4 = chip) (List.init limbs Fun.id) in
+            Keyswitch_fused.{ limbs = idx; key = chip })
+      in
+      let reference = Oracle.Keyswitch_alg_ref.output_aggregation params rr4 c ~chips:4 in
+      Alcotest.(check bool)
+        (Printf.sprintf "level %d: no pool = reference" level)
+        true
+        (pair_equal (Keyswitch_fused.keyswitch_shares params shares rr4 c) reference);
+      List.iter
+        (fun jobs ->
+          let p = Cinnamon_pool.Pool.create ~jobs () in
+          Fun.protect
+            ~finally:(fun () -> Cinnamon_pool.Pool.shutdown p)
+            (fun () ->
+              let par = Keyswitch_fused.keyswitch_shares ~pool:p params shares rr4 c in
+              Alcotest.(check bool)
+                (Printf.sprintf "level %d: jobs=%d = reference" level jobs)
+                true (pair_equal par reference)))
+        [ 1; 2 ])
+    [ params.Params.levels; 5 ]
+
 (* --- CiFHER --------------------------------------------------------------- *)
 
 let test_cifher_exact_and_3_broadcasts () =
@@ -200,6 +232,36 @@ let test_dispatcher_rejects_mismatch () =
     Alcotest.(check string)
       "typed invalid-input error" "invalid-input: Keyswitch_alg.run: algorithm/key mismatch"
       (Cinnamon_util.Error.to_string e)
+
+(* Chip counts [run] cannot honour are typed input errors, raised
+   before any communication is counted. *)
+let test_dispatcher_rejects_chip_counts () =
+  let params, sk, relin, rr4, _ = Lazy.force env in
+  let s = Keys.sk_over sk (Params.qp_basis params) in
+  let rr2 =
+    KA.gen_round_robin_key params sk ~s_from:(Rns_poly.mul s s) ~chips:2 (Rng.create ~seed:18)
+  in
+  (* 6 limbs: 3 chips hold 2 each, within alpha, so only the key's
+     pair count is wrong *)
+  let c = random_input ~seed:19 ~level:5 params in
+  List.iter
+    (fun (label, algorithm, chips, key) ->
+      let cnt = KA.new_counter () in
+      (match KA.run params ~algorithm ~chips ~key c cnt with
+      | _ -> Alcotest.failf "%s: expected a typed invalid-input error" label
+      | exception Cinnamon_util.Error.Error e ->
+        Alcotest.(check bool) (label ^ ": invalid-input") true
+          (e.Cinnamon_util.Error.kind = Cinnamon_util.Error.Invalid_input));
+      Alcotest.(check (list int))
+        (label ^ ": nothing counted") [ 0; 0; 0 ]
+        [ cnt.KA.n_broadcast; cnt.KA.n_aggregate; cnt.KA.limbs_moved ])
+    [
+      ("output-agg, 0 chips", P.Output_aggregation, 0, KA.Round_robin rr4);
+      ("output-agg, -1 chips", P.Output_aggregation, -1, KA.Round_robin rr4);
+      ("output-agg, 2-chip key at 3 chips", P.Output_aggregation, 3, KA.Round_robin rr2);
+      ("input-broadcast, 0 chips", P.Input_broadcast, 0, KA.Standard relin);
+      ("cifher, 0 chips", P.Cifher_broadcast, 0, KA.Standard relin);
+    ]
 
 let test_dispatcher_routes () =
   let params, _, relin, rr4, _ = Lazy.force env in
@@ -249,8 +311,11 @@ let suite =
       Alcotest.test_case "output-agg 3 chips" `Quick test_output_aggregation_odd_chips;
       Alcotest.test_case "output-agg share > alpha" `Quick
         test_output_aggregation_share_exceeds_alpha;
+      Alcotest.test_case "output-agg pool deterministic" `Quick
+        test_output_aggregation_pool_deterministic;
       Alcotest.test_case "cifher exact + comm" `Quick test_cifher_exact_and_3_broadcasts;
       Alcotest.test_case "dispatcher key check" `Quick test_dispatcher_rejects_mismatch;
+      Alcotest.test_case "dispatcher chip-count check" `Quick test_dispatcher_rejects_chip_counts;
       Alcotest.test_case "dispatcher routing" `Quick test_dispatcher_routes;
       Alcotest.test_case "parallel rotation e2e" `Quick test_parallel_rotation_correct;
     ] )

@@ -422,6 +422,49 @@ let test_base_conv_approximate =
       done;
       !ok)
 
+(* The column kernel over summed shares: fed the integer sum of S
+   canonical stage-1 inputs (each limb < S·q_j), the column is bitwise
+   the sum mod p_k of the S per-share columns.  30-bit sources below
+   30-bit destinations are not pre-reduced and leave a lazy batch of
+   about 4 terms, so S > 4 takes the pre-reduce-everything fallback;
+   the 26-bit destination pre-reduces every source at any S.
+   All-maximal residues make any overflow of the shrunk batch show. *)
+let test_base_conv_summed_shares =
+  qtest ~count:40 "column of summed shares = sum of share columns"
+    QCheck2.Gen.(quad (int_range 1 40) (int_range 1 64) bool (int_bound 10000))
+    (fun (n, shares, maximal, seed) ->
+      let rng = Rng.create ~seed in
+      let wide = Prime_gen.gen_primes ~bits:30 ~n:n_test ~count:2 () in
+      let src = Basis.of_primes (Prime_gen.gen_primes ~bits:30 ~n:n_test ~count:5 ~avoid:wide ()) in
+      let dst = Basis.of_primes (wide @ Prime_gen.gen_primes ~bits:26 ~n:n_test ~count:1 ()) in
+      let tbl = Base_conv.table ~src ~dst in
+      let l = Basis.size src in
+      let share_limbs =
+        Array.init shares (fun _ ->
+            Array.init l (fun j ->
+                let q = Basis.value src j in
+                Limb_buf.init n (fun _ -> if maximal then q - 1 else Rng.int rng q)))
+      in
+      let sums =
+        Array.init l (fun j ->
+            Limb_buf.init n (fun i ->
+                Array.fold_left (fun a sh -> a + Limb_buf.get sh.(j) i) 0 share_limbs))
+      in
+      List.for_all
+        (fun k ->
+          let pk = Basis.value dst k in
+          let got = Limb_buf.create n in
+          Base_conv.accumulate_column_into ~shares tbl ~scaled:sums ~dst:got ~k;
+          let want = Array.make n 0 in
+          Array.iter
+            (fun sh ->
+              let col = Limb_buf.create n in
+              Base_conv.accumulate_column_into tbl ~scaled:sh ~dst:col ~k;
+              Array.iteri (fun i v -> want.(i) <- (v + Limb_buf.get col i) mod pk) want)
+            share_limbs;
+          Limb_buf.to_int_array got = want)
+        (List.init (Basis.size dst) Fun.id))
+
 let test_base_conv_exact_oracle () =
   let _rng = Rng.create ~seed:19 in
   let src = Lazy.force basis5 in
@@ -505,6 +548,7 @@ let suite =
       test_into_ops_match_pure;
       Alcotest.test_case "ntt into variants" `Quick test_ntt_into_matches;
       test_base_conv_approximate;
+      test_base_conv_summed_shares;
       Alcotest.test_case "exact conv oracle" `Quick test_base_conv_exact_oracle;
       Alcotest.test_case "mod_down divides" `Quick test_mod_down_divides;
       Alcotest.test_case "mod_up consistent" `Quick test_mod_up_consistent;
