@@ -754,17 +754,16 @@ let kernels () =
   let qs = Prime_gen.gen_primes ~bits:28 ~n ~count:limbs () in
   let basis = Basis.of_primes qs in
   let rng = Cinnamon_util.Rng.create ~seed:7 in
-  (* Worker pool for the domain-parallel kernel paths (--jobs N with
-     N > 1); the kernels are bit-identical with and without it.
+  (* Worker pool for the keyswitch engine's limb fan-out (--jobs N with
+     N > 1); the keyswitches are bit-identical with and without it.
      Requests beyond the host's core count are clamped: oversubscribed
-     domains only add scheduling overhead to a throughput measurement
-     (the determinism tests still force the split with explicit
-     pools whatever the host). *)
+     domains only add scheduling overhead to a throughput measurement.
+     The NTT and base conversion always run on one domain. *)
   let eff_jobs = min !jobs (Exec.Pool.default_jobs ()) in
   let pool = if eff_jobs > 1 then Some (Exec.Pool.create ~jobs:eff_jobs ()) else None in
   if !jobs > eff_jobs then
     Printf.printf "  (--jobs %d clamped to %d host cores)\n%!" !jobs eff_jobs;
-  if pool <> None then Printf.printf "  (domain-parallel kernels: %d jobs)\n%!" eff_jobs;
+  if pool <> None then Printf.printf "  (limb-parallel keyswitch: %d jobs)\n%!" eff_jobs;
   (* single-limb NTT passes, into a reused scratch buffer *)
   let q = List.hd qs in
   let plan = Ntt.plan ~q ~n in
@@ -773,13 +772,12 @@ let kernels () =
   let log2n = Cinnamon_util.Bitops.log2_exact n in
   (* per stage: n limb reads + n limb writes, log2(n) stages *)
   let ntt_bytes = 16 * n * log2n in
-  record_micro ~kernel:"ntt_forward" ~n ~limbs:1 ~bytes:ntt_bytes
-    (1e6 *. time_it ~reps:(reps * 8) (fun () -> Ntt.forward_into ?pool plan ~src:a ~dst:scratch));
-  record_micro ~kernel:"ntt_inverse" ~n ~limbs:1 ~bytes:ntt_bytes
-    (1e6 *. time_it ~reps:(reps * 8) (fun () -> Ntt.inverse_into ?pool plan ~src:a ~dst:scratch));
-  (* CPU-column calibration: Cpu_model extrapolates single-core
-     seconds, so time the NTT once more without the pool (not recorded) *)
   let ntt_s = time_it ~reps:(reps * 8) (fun () -> Ntt.forward_into plan ~src:a ~dst:scratch) in
+  record_micro ~kernel:"ntt_forward" ~n ~limbs:1 ~bytes:ntt_bytes (1e6 *. ntt_s);
+  record_micro ~kernel:"ntt_inverse" ~n ~limbs:1 ~bytes:ntt_bytes
+    (1e6 *. time_it ~reps:(reps * 8) (fun () -> Ntt.inverse_into plan ~src:a ~dst:scratch));
+  (* CPU-column calibration: Cpu_model extrapolates from the
+     single-core forward NTT just recorded *)
   let boot =
     Cinnamon_sim.Cpu_model.extrapolate_from_measured ~seconds_per_ntt:ntt_s ~n_meas:n ~cores:48
   in
@@ -803,7 +801,7 @@ let kernels () =
      per output column and writes m columns *)
   let bc_bytes = 8 * ((2 * limbs * n) + (ext_limbs * limbs * n) + (ext_limbs * n)) in
   record_micro ~kernel:"base_conv" ~n ~limbs ~bytes:bc_bytes
-    (1e6 *. time_it ~reps (fun () -> ignore (Base_conv.convert ?pool xc ~dst:ext)));
+    (1e6 *. time_it ~reps (fun () -> ignore (Base_conv.convert xc ~dst:ext)));
   (* automorphism: Eval-domain permutation vs the INTT/NTT round-trip
      the seed performed (kept here as the oracle path) *)
   let k = Cinnamon_ckks.Keys.galois_of_rotation ~n 1 in

@@ -20,11 +20,6 @@
    is precomputed per destination modulus (at least 4 at 30-bit
    moduli, ~16+ at the paper's 28-bit datapath).
 
-   Output limbs are independent columns, so with a pool stage 2 fans
-   the destination limbs out across domains (and stage 1 the source
-   limbs); every column computes the same scalar sequence as the
-   sequential code, so the result is bit-identical for any job count.
-
    Tables are cached per (Q, P) pair of prime-value lists in a Memo
    table (safe under concurrent domains), reusing the CRT constants
    from [Crt]. *)
@@ -34,8 +29,6 @@
    across modules — these local twins are (see Ntt). *)
 let[@inline always] bget (a : Limb_buf.t) i = Int64.to_int (Bigarray.Array1.unsafe_get a i)
 let[@inline always] bset (a : Limb_buf.t) i v = Bigarray.Array1.unsafe_set a i (Int64.of_int v)
-
-module Pool = Cinnamon_pool.Pool
 
 type table = {
   src : Basis.t;
@@ -184,36 +177,25 @@ let accumulate_column_into ?(shares = 1) tbl ~(scaled : Limb_buf.t array) ~(dst 
     bset dst i0 (!acc mod qk)
   end
 
-let accumulate_column tbl ~(scaled : Limb_buf.t array) ~out ~k =
-  accumulate_column_into tbl ~scaled ~dst:(Rns_poly.unsafe_limb_view out k) ~k
-
 (* Stage-1 scale factor (Q/q_j)^-1 mod q_j, for callers that fuse the
    scaling elsewhere (the fused keyswitch folds it into the INTT). *)
 let qhat_inv tbl j = tbl.qhat_inv.(j)
 
-let idx p = List.init p (fun i -> i)
-
 (* Convert x (Coeff domain, over [src]) to basis [dst] (Coeff domain).
    Output = x + e*Q with 0 <= e < size(src). *)
-let convert ?pool x ~dst =
+let convert x ~dst =
   if Rns_poly.domain x <> Rns_poly.Coeff then
     invalid_arg "Base_conv.convert: input must be in coefficient domain";
   let src = Rns_poly.basis x in
   let tbl = table ~src ~dst in
   let n = Rns_poly.n x in
   let l = Basis.size src in
-  let m = Basis.size dst in
   Scratch.with_bufs ~n ~count:l (fun scaled ->
       let out = Rns_poly.create ~n ~basis:dst ~domain:Rns_poly.Coeff in
-      (match pool with
-      | Some pl when Pool.jobs pl > 1 && (l > 1 || m > 1) ->
-          Pool.iter pl (fun j -> scale_limb tbl x ~j ~buf:scaled.(j)) (idx l);
-          Pool.iter pl (fun k -> accumulate_column tbl ~scaled ~out ~k) (idx m)
-      | _ ->
-          for j = 0 to l - 1 do
-            scale_limb tbl x ~j ~buf:scaled.(j)
-          done;
-          for k = 0 to m - 1 do
-            accumulate_column tbl ~scaled ~out ~k
-          done);
+      for j = 0 to l - 1 do
+        scale_limb tbl x ~j ~buf:scaled.(j)
+      done;
+      for k = 0 to Basis.size dst - 1 do
+        accumulate_column_into tbl ~scaled ~dst:(Rns_poly.unsafe_limb_view out k) ~k
+      done;
       out)

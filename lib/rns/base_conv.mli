@@ -3,9 +3,7 @@
     The one polynomial operation that is {e not} data parallel across
     limbs: every input limb contributes to every output limb. This is
     the cross-limb dependency that makes keyswitching hard to
-    parallelize and that the paper's BCU accelerates.  Output limbs
-    are independent columns, though — with [pool] they fan out across
-    domains, bit-identically for any job count. *)
+    parallelize and that the paper's BCU accelerates. *)
 
 (** {2 Table / column layer}
 
@@ -43,6 +41,5 @@ val accumulate_column_into :
 (** [convert x ~dst] base-converts [x] (which must be in coefficient
     domain) to basis [dst]. The result represents [x + e·Q] for some
     integer [0 <= e < level x] (standard approximate conversion; the
-    slack is absorbed by mod-down scaling and CKKS noise).  Only pass
-    [pool] from the domain that owns it. *)
-val convert : ?pool:Cinnamon_pool.Pool.t -> Rns_poly.t -> dst:Basis.t -> Rns_poly.t
+    slack is absorbed by mod-down scaling and CKKS noise). *)
+val convert : Rns_poly.t -> dst:Basis.t -> Rns_poly.t

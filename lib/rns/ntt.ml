@@ -28,25 +28,9 @@
    (r + (c land (r asr 62)) after r = x - c) — the butterfly loop is
    the hottest loop in the library and mispredicts would dominate.
 
-   Parallel decomposition (forward; the inverse mirrors it): butterfly
-   b of stage m sits in block i = b/t (t = N/2m) at index j = i*t + b,
-   so consecutive butterflies write consecutive indices.  With P a
-   power of two, split the N/2 butterflies into P equal chunks.
-   Early stages (m < P) have blocks spanning >= 2 chunks, so each
-   chunk lies inside one block (constant twiddle) and stages need a
-   barrier between them: one Pool round per stage.  Once m >= P,
-   blocks fit inside a chunk and chunk c's writes stay inside the
-   index region [c*N/P, (c+1)*N/P) for every remaining stage, so a
-   single Pool round runs all of them region-locally.  Every butterfly
-   computes the exact same scalar operations as the sequential code
-   and all writes are disjoint, so results are bit-identical for any
-   P — `--jobs` never changes output.
-
    Tables are computed once per (q, N) and cached; the caches are
    Memo tables because plans are built lazily from concurrent domains
    (lib/exec pool). *)
-
-module Pool = Cinnamon_pool.Pool
 
 (* Local bigarray accessors for the butterfly loops.  Limb_buf exposes
    identical [@inline] wrappers, but dune's dev profile compiles with
@@ -212,118 +196,6 @@ let forward_seq plan (a : Limb_buf.t) =
     done
   end
 
-(* Butterflies [b0, b1) of forward stage m (stride t = n/2m), exactly
-   the scalar operations of forward_seq per butterfly — the parallel
-   split must stay bit-identical to the sequential path. *)
-let fwd_range plan (a : Limb_buf.t) ~m ~t ~b0 ~b1 =
-  let q = Modarith.q plan.md in
-  let q2 = q * 2 in
-  let sh = Modarith.shoup_shift in
-  let psi_br = plan.psi_br and psi_sh = plan.psi_sh in
-  let last = 2 * m >= plan.n in
-  let lazy4 = plan.lazy4 in
-  let i0 = b0 / t and i1 = (b1 - 1) / t in
-  for i = i0 to i1 do
-    let bl = let x = i * t in if b0 > x then b0 else x in
-    let bh = let x = (i + 1) * t in if b1 < x then b1 else x in
-    let w = Array.unsafe_get psi_br (m + i) in
-    let w' = Array.unsafe_get psi_sh (m + i) in
-    let jl = (i * t) + bl and jh = (i * t) + bh - 1 in
-    if last then
-      if lazy4 then
-        for j = jl to jh do
-          let u = bget a j in
-          let u = let r = u - q2 in r + (q2 land (r asr 62)) in
-          let x1 = bget a (j + t) in
-          let v = (x1 * w) - (((x1 * w') lsr sh) * q) in
-          let s0 = u + v in
-          let s0 = let r = s0 - q2 in r + (q2 land (r asr 62)) in
-          let s0 = let r = s0 - q in r + (q land (r asr 62)) in
-          bset a j s0;
-          let d = u - v + q2 in
-          let d = let r = d - q2 in r + (q2 land (r asr 62)) in
-          let d = let r = d - q in r + (q land (r asr 62)) in
-          bset a (j + t) d
-        done
-      else
-        for j = jl to jh do
-          let u = bget a j in
-          let x1 = bget a (j + t) in
-          let v = (x1 * w) - (((x1 * w') lsr sh) * q) in
-          let s0 = u + v in
-          let s0 = let r = s0 - q2 in r + (q2 land (r asr 62)) in
-          let s0 = let r = s0 - q in r + (q land (r asr 62)) in
-          bset a j s0;
-          let d = u - v + q2 in
-          let d = let r = d - q2 in r + (q2 land (r asr 62)) in
-          let d = let r = d - q in r + (q land (r asr 62)) in
-          bset a (j + t) d
-        done
-    else if lazy4 then
-      for j = jl to jh do
-        let u = bget a j in
-        let u = let r = u - q2 in r + (q2 land (r asr 62)) in
-        let x1 = bget a (j + t) in
-        let v = (x1 * w) - (((x1 * w') lsr sh) * q) in
-        bset a j (u + v);
-        bset a (j + t) (u - v + q2)
-      done
-    else
-      for j = jl to jh do
-        let u = bget a j in
-        let x1 = bget a (j + t) in
-        let v = (x1 * w) - (((x1 * w') lsr sh) * q) in
-        let s0 = u + v in
-        let s0 = let r = s0 - q2 in r + (q2 land (r asr 62)) in
-        bset a j s0;
-        let d = u - v + q2 in
-        let d = let r = d - q2 in r + (q2 land (r asr 62)) in
-        bset a (j + t) d
-      done
-  done
-
-(* Butterflies [b0, b1) of the inverse (Gentleman–Sande) stage with h
-   blocks of stride t.  The inverse keeps every value < 2q: the sum
-   leg gets one conditional subtract, the difference leg exits through
-   the Shoup product which lands in [0, 2q) by construction. *)
-let inv_range plan (a : Limb_buf.t) ~h ~t ~b0 ~b1 =
-  let q = Modarith.q plan.md in
-  let q2 = q * 2 in
-  let sh = Modarith.shoup_shift in
-  let ipsi = plan.inv_psi_br and ipsh = plan.inv_psi_sh in
-  let i0 = b0 / t and i1 = (b1 - 1) / t in
-  for i = i0 to i1 do
-    let bl = let x = i * t in if b0 > x then b0 else x in
-    let bh = let x = (i + 1) * t in if b1 < x then b1 else x in
-    let s = Array.unsafe_get ipsi (h + i) in
-    let s' = Array.unsafe_get ipsh (h + i) in
-    let jl = (i * t) + bl and jh = (i * t) + bh - 1 in
-    if plan.lazy4 then
-      for j = jl to jh do
-        let u = bget a j in
-        let v = bget a (j + t) in
-        let su = u + v in
-        let su = let r = su - q2 in r + (q2 land (r asr 62)) in
-        bset a j su;
-        let d = u - v + q2 in
-        let x = (d * s) - (((d * s') lsr sh) * q) in
-        bset a (j + t) x
-      done
-    else
-      for j = jl to jh do
-        let u = bget a j in
-        let v = bget a (j + t) in
-        let su = u + v in
-        let su = let r = su - q2 in r + (q2 land (r asr 62)) in
-        bset a j su;
-        let d = u - v + q2 in
-        (* 30-bit q: fold d below 2q so d * s' stays under 2^62 *)
-        let d = let r = d - q2 in r + (q2 land (r asr 62)) in
-        let x = (d * s) - (((d * s') lsr sh) * q) in
-        bset a (j + t) x
-      done
-  done
-
 (* Final scaling of the inverse by an arbitrary canonical scalar
    (N^-1, or N^-1 fused with a caller factor); reduces < 2q values to
    [0, q).  Unrolled by two — n is a power of two >= 2 everywhere this
@@ -351,13 +223,13 @@ let inv_scale_range_with plan (a : Limb_buf.t) ~ninv ~ninv_sh ~lo ~hi =
     bset a !j v
   end
 
-(* Specialized sequential inverse stages, mirroring the treatment the
-   forward pass gets: the t = 1 stage iterates stride-2 pairs directly
-   (unrolled across blocks), larger strides unroll the in-block loop by
-   two (t is a power of two >= 2, so no tail).  Each butterfly computes
-   exactly the scalar operations of [inv_range] — the generic range
-   kernel stays as the parallel-split form and the two are
-   bit-identical. *)
+(* One inverse (Gentleman–Sande) stage with h blocks of stride t,
+   mirroring the treatment the forward pass gets: the t = 1 stage
+   iterates stride-2 pairs directly (unrolled across blocks), larger
+   strides unroll the in-block loop by two (t is a power of two >= 2,
+   so no tail).  The inverse keeps every value < 2q: the sum leg gets
+   one conditional subtract, the difference leg exits through the
+   Shoup product which lands in [0, 2q) by construction. *)
 let inv_stage_seq plan (a : Limb_buf.t) ~h ~t =
   let q = Modarith.q plan.md in
   let q2 = q * 2 in
@@ -443,110 +315,21 @@ let inverse_seq_scaled plan (a : Limb_buf.t) ~ninv ~ninv_sh =
   done;
   inv_scale_range_with plan a ~ninv ~ninv_sh ~lo:0 ~hi:n
 
-let inverse_seq plan (a : Limb_buf.t) =
-  inverse_seq_scaled plan a ~ninv:plan.n_inv ~ninv_sh:plan.n_inv_sh
-
-(* ------------------------------------------------------------------ *)
-(* Parallel drivers (see the decomposition note at the top). *)
-
-let min_parallel_n = 4096
-
-let pow2_le x =
-  let r = ref 1 in
-  while !r * 2 <= x do
-    r := !r * 2
-  done;
-  !r
-
-(* Worker count for the split: the largest power of two within the
-   pool, capped so every chunk keeps >= 512 butterflies. *)
-let split_width pool n =
-  match pool with
-  | Some pl when n >= min_parallel_n && Pool.jobs pl > 1 ->
-      let p = pow2_le (Pool.jobs pl) in
-      let p = if p > n / 1024 then n / 1024 else p in
-      if p >= 2 then Some (pl, p) else None
-  | _ -> None
-
-let idx p = List.init p (fun i -> i)
-
-let forward_par plan pl (a : Limb_buf.t) ~p =
-  let n = plan.n in
-  let chunk = n / 2 / p in
-  (* stages m < p: chunks sit inside one block; barrier per stage *)
-  let m = ref 1 and t = ref n in
-  while !m < p do
-    t := !t / 2;
-    let mm = !m and tt = !t in
-    Pool.iter pl
-      (fun c -> fwd_range plan a ~m:mm ~t:tt ~b0:(c * chunk) ~b1:((c + 1) * chunk))
-      (idx p);
-    m := mm * 2
-  done;
-  (* stages m >= p: region-local, one barrier for all of them *)
-  Pool.iter pl
-    (fun r ->
-      let b0 = r * chunk and b1 = (r + 1) * chunk in
-      let m = ref p and t = ref (n / (2 * p)) in
-      while !m < n do
-        fwd_range plan a ~m:!m ~t:!t ~b0 ~b1;
-        m := !m * 2;
-        t := !t / 2
-      done)
-    (idx p)
-
-let inverse_par ?ninv ?ninv_sh plan pl (a : Limb_buf.t) ~p =
-  let ninv = Option.value ninv ~default:plan.n_inv in
-  let ninv_sh = Option.value ninv_sh ~default:plan.n_inv_sh in
-  let n = plan.n in
-  let chunk = n / 2 / p in
-  (* stages with h >= p blocks: region-local, one barrier *)
-  Pool.iter pl
-    (fun r ->
-      let b0 = r * chunk and b1 = (r + 1) * chunk in
-      let m = ref n and t = ref 1 in
-      while !m / 2 >= p do
-        let h = !m / 2 in
-        inv_range plan a ~h ~t:!t ~b0 ~b1;
-        t := !t * 2;
-        m := h
-      done)
-    (idx p);
-  (* stages with h < p blocks: barrier per stage *)
-  let m = ref p and t = ref (n / p) in
-  while !m > 1 do
-    let h = !m / 2 in
-    let tt = !t in
-    Pool.iter pl
-      (fun c -> inv_range plan a ~h ~t:tt ~b0:(c * chunk) ~b1:((c + 1) * chunk))
-      (idx p);
-    t := tt * 2;
-    m := h
-  done;
-  let sc = n / p in
-  Pool.iter pl
-    (fun c -> inv_scale_range_with plan a ~ninv ~ninv_sh ~lo:(c * sc) ~hi:((c + 1) * sc))
-    (idx p)
-
 (* ------------------------------------------------------------------ *)
 
 let check_into name plan ~src ~dst =
   if Limb_buf.length src <> plan.n || Limb_buf.length dst <> plan.n then
     invalid_arg (name ^ ": length")
 
-let forward_into ?pool plan ~src ~dst =
+let forward_into plan ~src ~dst =
   check_into "Ntt.forward_into" plan ~src ~dst;
   Limb_buf.blit ~src ~dst;
-  match split_width pool plan.n with
-  | Some (pl, p) -> forward_par plan pl dst ~p
-  | None -> forward_seq plan dst
+  forward_seq plan dst
 
-let inverse_into ?pool plan ~src ~dst =
+let inverse_into plan ~src ~dst =
   check_into "Ntt.inverse_into" plan ~src ~dst;
   Limb_buf.blit ~src ~dst;
-  match split_width pool plan.n with
-  | Some (pl, p) -> inverse_par plan pl dst ~p
-  | None -> inverse_seq plan dst
+  inverse_seq_scaled plan dst ~ninv:plan.n_inv ~ninv_sh:plan.n_inv_sh
 
 (* Inverse transform whose final pass multiplies by N^-1 * scale in one
    Shoup product — the INTT -> scale-by-constant fusion the fused
@@ -554,7 +337,7 @@ let inverse_into ?pool plan ~src ~dst =
    factor into the transform epilogue.  Output is bitwise what
    [inverse_into] followed by a canonical multiply by [scale] would
    produce: both are the canonical residue of x * N^-1 * scale. *)
-let inverse_scaled_into ?pool plan ~scale ~src ~dst =
+let inverse_scaled_into plan ~scale ~src ~dst =
   check_into "Ntt.inverse_scaled_into" plan ~src ~dst;
   let md = plan.md in
   if scale < 0 || scale >= Modarith.q md then
@@ -562,9 +345,7 @@ let inverse_scaled_into ?pool plan ~scale ~src ~dst =
   let ninv = Modarith.mul md plan.n_inv scale in
   let ninv_sh = Modarith.shoup md ninv in
   Limb_buf.blit ~src ~dst;
-  match split_width pool plan.n with
-  | Some (pl, p) -> inverse_par ~ninv ~ninv_sh plan pl dst ~p
-  | None -> inverse_seq_scaled plan dst ~ninv ~ninv_sh
+  inverse_seq_scaled plan dst ~ninv ~ninv_sh
 
 (* Eval-domain Galois permutation for the automorphism tau_k : X -> X^k
    (k odd, taken mod 2N).

@@ -8,11 +8,11 @@
 
     Butterflies run in a Harvey-style redundant representation
     (values < 4q for q < 2{^29}, < 2q at the full 30-bit width) with
-    Shoup twiddle products and a single final reduction, and can split
-    deterministically across a {!Cinnamon_pool.Pool} — output is
-    bit-identical for every worker count.  Twiddle tables and
-    permutations are cached per (q, N) / (N, k) in mutex-guarded
-    {!Cinnamon_util.Memo} tables, safe under concurrent domains. *)
+    Shoup twiddle products and a single final reduction.  Each
+    transform runs sequentially on one domain; parallelism lives a
+    level up, across limbs.  Twiddle tables and permutations are
+    cached per (q, N) / (N, k) in mutex-guarded {!Cinnamon_util.Memo}
+    tables, safe under concurrent domains. *)
 
 type plan
 
@@ -24,15 +24,12 @@ val plan_modulus : plan -> Modarith.modulus
 
 (** Forward transform of [src] into [dst] (natural-order input and
     output, canonical [0, q) residues both ways).  [dst] may be the
-    same buffer as [src]; distinct overlapping views are not allowed.
-    With [pool] (of 2+ jobs, [n >= 4096]) the butterfly passes split
-    across domains — bit-identical to the sequential path for any job
-    count.  Only call with [pool] from the domain that owns it. *)
-val forward_into : ?pool:Cinnamon_pool.Pool.t -> plan -> src:Limb_buf.t -> dst:Limb_buf.t -> unit
+    same buffer as [src]; distinct overlapping views are not allowed. *)
+val forward_into : plan -> src:Limb_buf.t -> dst:Limb_buf.t -> unit
 
-(** Inverse transform, including the N{^-1} scaling; same aliasing and
-    pool contract as {!forward_into}. *)
-val inverse_into : ?pool:Cinnamon_pool.Pool.t -> plan -> src:Limb_buf.t -> dst:Limb_buf.t -> unit
+(** Inverse transform, including the N{^-1} scaling; same aliasing
+    contract as {!forward_into}. *)
+val inverse_into : plan -> src:Limb_buf.t -> dst:Limb_buf.t -> unit
 
 (** Inverse transform whose final pass multiplies by N{^-1}·[scale] in
     one fused Shoup product ([scale] a canonical residue) — bitwise
@@ -40,8 +37,7 @@ val inverse_into : ?pool:Cinnamon_pool.Pool.t -> plan -> src:Limb_buf.t -> dst:L
     [scale].  The fused keyswitch pipeline uses it to fold base
     conversion's stage-1 q̂{^-1} factor into the transform epilogue,
     saving one full pass over the limb. *)
-val inverse_scaled_into :
-  ?pool:Cinnamon_pool.Pool.t -> plan -> scale:int -> src:Limb_buf.t -> dst:Limb_buf.t -> unit
+val inverse_scaled_into : plan -> scale:int -> src:Limb_buf.t -> dst:Limb_buf.t -> unit
 
 (** Eval-domain slot permutation for the Galois automorphism
     X ↦ X{^k} ([k] odd, taken mod 2N): [out.(j) = in.(nth perm j)]

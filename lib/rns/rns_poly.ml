@@ -29,8 +29,6 @@
 let[@inline always] bget (a : Limb_buf.t) i = Int64.to_int (Bigarray.Array1.unsafe_get a i)
 let[@inline always] bset (a : Limb_buf.t) i v = Bigarray.Array1.unsafe_set a i (Int64.of_int v)
 
-module Pool = Cinnamon_pool.Pool
-
 type domain = Coeff | Eval
 
 type t = {
@@ -216,35 +214,23 @@ let scalar_mul_per_limb a s =
 let scalar_mul_into ~dst a s = scalar_mul_per_limb_into ~dst a (fun _ -> s)
 let scalar_mul a s = scalar_mul_per_limb a (fun _ -> s)
 
-(* Domain conversions.  With [pool], multi-limb polynomials transform
-   limbs in parallel (each worker running the sequential NTT — nested
-   pool use would deadlock); a single-limb polynomial hands the pool
-   down so the butterfly passes themselves split.  Either way the
-   result is bit-identical to the sequential path. *)
-let transform_limbs ?pool t ~target ~into =
-  let lv = level t in
+let transform_limbs t ~target ~into =
   let out = create ~n:t.n ~basis:t.basis ~domain:target in
-  let do_limb ?pool i =
+  for i = 0 to level t - 1 do
     let plan = Ntt.plan ~q:(Basis.value t.basis i) ~n:t.n in
-    into ?pool plan ~src:t.limbs.(i) ~dst:out.limbs.(i)
-  in
-  (match pool with
-  | Some pl when Pool.jobs pl > 1 && lv > 1 -> Pool.iter pl (do_limb ?pool:None) (List.init lv Fun.id)
-  | _ ->
-      for i = 0 to lv - 1 do
-        do_limb ?pool i
-      done);
+    into plan ~src:t.limbs.(i) ~dst:out.limbs.(i)
+  done;
   out
 
-let to_eval ?pool t =
+let to_eval t =
   match t.domain with
   | Eval -> t
-  | Coeff -> transform_limbs ?pool t ~target:Eval ~into:Ntt.forward_into
+  | Coeff -> transform_limbs t ~target:Eval ~into:Ntt.forward_into
 
-let to_coeff ?pool t =
+let to_coeff t =
   match t.domain with
   | Coeff -> t
-  | Eval -> transform_limbs ?pool t ~target:Coeff ~into:Ntt.inverse_into
+  | Eval -> transform_limbs t ~target:Coeff ~into:Ntt.inverse_into
 
 (* Automorphism X -> X^k (k odd).
 

@@ -68,13 +68,10 @@ val scalar_mul : t -> int -> t
 
 val scalar_mul_into : dst:t -> t -> int -> unit
 
-(** Domain conversions (cached NTT plans; no-ops when already there).
-    With [pool], limbs transform in parallel (single-limb inputs split
-    the butterfly passes instead); output is bit-identical for any job
-    count.  Only pass [pool] from the domain that owns it. *)
-val to_eval : ?pool:Cinnamon_pool.Pool.t -> t -> t
+(** Domain conversions (cached NTT plans; no-ops when already there). *)
+val to_eval : t -> t
 
-val to_coeff : ?pool:Cinnamon_pool.Pool.t -> t -> t
+val to_coeff : t -> t
 
 (** Automorphism X ↦ X{^k}, [k] odd. Preserves the input domain.
     Eval-domain inputs use a precomputed slot permutation (no NTTs,
