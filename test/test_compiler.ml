@@ -185,6 +185,71 @@ let test_regalloc_belady_beats_small_file () =
   Alcotest.(check bool) "monotone in capacity" true
     (big.Regalloc.stats.Regalloc.spills <= small.Regalloc.stats.Regalloc.spills)
 
+(* --- the allocator against the linear-scan oracle ---------------------------- *)
+
+module Regalloc_ref = Cinnamon_oracle.Regalloc_ref
+
+(* Instructions and statistics, or the typed error, of one allocation. *)
+let allocation alloc ~num_regs cp =
+  match alloc ~num_regs cp with
+  | (a : Regalloc.assignment) -> Ok (a.Regalloc.instrs, a.Regalloc.stats)
+  | exception Cinnamon_util.Error.Error e -> Error e
+
+let same_allocation ~num_regs cp =
+  allocation Regalloc.allocate ~num_regs cp = allocation Regalloc_ref.allocate ~num_regs cp
+
+(* One random step of a two-chip program: [kind] picks load / compute /
+   store / collective, [picks] choose operands among the chip's values
+   (small pools make repeats such as [a; a] common), [count] sizes a
+   collective's receives. *)
+let random_program steps =
+  let b = Limb_ir.builder ~chips:2 ~limb_bytes:1024 in
+  let vals = [| [||]; [||] |] in
+  let add chip v = vals.(chip) <- Array.append vals.(chip) [| v |] in
+  let pick chip p = vals.(chip).(p mod Array.length vals.(chip)) in
+  let fus = [| Limb_ir.Fu_add; Fu_mul; Fu_ntt; Fu_bconv; Fu_auto |] in
+  List.iter
+    (fun (kind, chip, picks, count) ->
+      if Array.length vals.(chip) = 0 || kind = 0 then add chip (Limb_ir.load b ~chip)
+      else if kind <= 2 then
+        add chip (Limb_ir.compute b ~chip ~fu:fus.(count mod Array.length fus) (List.map (pick chip) picks))
+      else if kind = 3 then Limb_ir.store b ~chip (pick chip (List.hd picks))
+      else if Array.length vals.(1 - chip) > 0 then
+        Limb_ir.collective b ~kind:Limb_ir.Broadcast ~group:[ 0; 1 ] ~limbs:2
+          ~sends:(fun c -> List.map (pick c) (if c = chip then picks else [ List.hd picks ]))
+          ~recv_count:(fun c -> if c = chip then count else 1)
+        |> List.iter (fun (c, recvs) -> List.iter (add c) recvs))
+    steps;
+  Limb_ir.finish b
+
+let qtest ?(count = 100) name gen prop =
+  QCheck_alcotest.to_alcotest (QCheck2.Test.make ~count ~name gen prop)
+
+let test_regalloc_matches_ref =
+  let step =
+    QCheck2.Gen.(
+      quad (int_range 0 4) (int_range 0 1) (list_size (int_range 1 4) (int_bound 999)) (int_range 1 3))
+  in
+  qtest ~count:300 "regalloc = linear-scan oracle (random 2-chip programs)"
+    QCheck2.Gen.(pair (int_range 2 16) (list_size (int_range 1 80) step))
+    (fun (num_regs, steps) ->
+      let t = random_program steps in
+      Array.for_all (same_allocation ~num_regs) t.Limb_ir.chips)
+
+let test_regalloc_matches_ref_kernels () =
+  List.iter
+    (fun name ->
+      let kernel = Result.get_ok (Cinnamon_workloads.Specs.find_kernel name) in
+      let r = Pipeline.compile cfg4 (Cinnamon_workloads.Specs.kernel_program kernel) in
+      Array.iter
+        (fun (cp : Limb_ir.chip_program) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s chip %d" name cp.Limb_ir.chip)
+            true
+            (same_allocation ~num_regs:(Compile_config.registers cfg4) cp))
+        r.Pipeline.limb.Limb_ir.chips)
+    [ "helr-iter"; "resnet-block" ]
+
 (* --- pipeline ------------------------------------------------------------------ *)
 
 let test_pipeline_end_to_end () =
@@ -240,6 +305,8 @@ let suite =
       Alcotest.test_case "regalloc spills wide" `Quick test_regalloc_spills_when_over_capacity;
       Alcotest.test_case "regalloc def-before-use" `Quick test_regalloc_def_before_use;
       Alcotest.test_case "regalloc capacity monotone" `Quick test_regalloc_belady_beats_small_file;
+      test_regalloc_matches_ref;
+      Alcotest.test_case "regalloc = oracle on zoo kernels" `Quick test_regalloc_matches_ref_kernels;
       Alcotest.test_case "pipeline end-to-end" `Quick test_pipeline_end_to_end;
       Alcotest.test_case "stream chip groups" `Quick test_stream_groups;
       Alcotest.test_case "streams disjoint chips" `Quick test_streams_use_disjoint_chips;
