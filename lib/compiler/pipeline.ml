@@ -49,6 +49,11 @@ let run_verify ?rotation_keys (r : result) : Verify.violation list =
 let verify = run_verify
 
 let compile ?(verify = false) (cfg : Compile_config.t) (ct : Ct_ir.t) : result =
+  let chips = cfg.Compile_config.chips and group_size = cfg.Compile_config.group_size in
+  if chips < 1 || group_size < 1 || group_size > chips then
+    Error.failf Error.Invalid_input
+      "Pipeline.compile: need chips >= 1 and 1 <= group_size <= chips (chips=%d, group_size=%d)" chips
+      group_size;
   Tel.Span.with_ ~cat:"compiler" "compile"
     ~args:
       [ ("chips", Tel.Int cfg.Compile_config.chips); ("ct_nodes", Tel.Int (Ct_ir.size ct)) ]

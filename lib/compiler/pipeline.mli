@@ -23,7 +23,8 @@ val verify : ?rotation_keys:int list -> result -> Verify.violation list
     [cfg.Compile_config.rf_bytes] ({!Compile_config.registers}).  With
     [~verify:true] the result is checked by the static verifier and a
     [Cinnamon_util.Error] of kind [Verification] is raised when any
-    rule is violated. *)
+    rule is violated.  A config without [chips >= 1] and
+    [1 <= group_size <= chips] raises kind [Invalid_input]. *)
 val compile : ?verify:bool -> Compile_config.t -> Ct_ir.t -> result
 
 (** One-line statistics for logs and the CLI. *)

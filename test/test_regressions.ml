@@ -131,6 +131,24 @@ let test_single_chip_has_no_network_ops () =
         p.I.instrs)
     r.Pipeline.machine.I.programs
 
+(* A stream-group size outside 1..chips used to escape as a raw
+   [Invalid_argument] from deep in the lowering ("index out of bounds"
+   for 4 > 2 chips, "List.init" for -1); the pipeline now rejects the
+   config up front with a typed error. *)
+let test_bad_group_size_is_typed () =
+  let prog = Kernels.bootstrap_program () in
+  List.iter
+    (fun (chips, group_size) ->
+      let cfg = { (Compile_config.paper ~chips ()) with Compile_config.group_size } in
+      match Pipeline.compile cfg prog with
+      | _ -> Alcotest.failf "chips=%d group_size=%d compiled" chips group_size
+      | exception Cinnamon_util.Error.Error e ->
+        Alcotest.(check string)
+          (Printf.sprintf "chips=%d group_size=%d" chips group_size)
+          "invalid-input"
+          (Cinnamon_util.Error.kind_name e.Cinnamon_util.Error.kind))
+    [ (2, 4); (2, -1); (4, 0); (0, 1) ]
+
 let suite =
   ( "regressions",
     [
@@ -141,4 +159,5 @@ let suite =
       Alcotest.test_case "RF capacity reduces loads" `Slow test_rf_capacity_reduces_loads;
       Alcotest.test_case "scale prime balance" `Quick test_scale_prime_balance_in_presets;
       Alcotest.test_case "1-chip no network ops" `Quick test_single_chip_has_no_network_ops;
+      Alcotest.test_case "bad group_size is typed" `Quick test_bad_group_size_is_typed;
     ] )
