@@ -1,7 +1,8 @@
 (* Re-export: the domain pool lives in its own library
-   (cinnamon_pool) so the RNS kernel layer can split butterfly passes
-   and base-conversion columns across domains without a dependency
-   cycle (lib/exec depends on lib/compiler which depends on lib/rns).
-   Including the implementation re-exports every binding with type
-   equality, so [Exec.Pool] remains the name everyone else uses. *)
+   (cinnamon_pool) so the fused keyswitch in lib/ckks can fan its
+   per-digit and per-share work out across domains without a
+   dependency cycle (lib/exec depends on lib/compiler, which depends
+   on lib/ckks).  Including the implementation re-exports every binding
+   with type equality, so [Exec.Pool] remains the name everyone else
+   uses. *)
 include Cinnamon_pool.Pool
