@@ -193,8 +193,6 @@ let do_compile_kernel kernel chips verify verbose =
         stats.Cinnamon_compiler.Regalloc.spills stats.Cinnamon_compiler.Regalloc.reloads
         stats.Cinnamon_compiler.Regalloc.peak_live)
     r.Cinnamon_compiler.Pipeline.regalloc;
-  let check = Cinnamon_emulator.Check.check r.Cinnamon_compiler.Pipeline.machine in
-  Format.printf "structural check: %a@." Cinnamon_emulator.Check.pp_report check;
   if verbose then
     Array.iter
       (fun p ->

@@ -1,6 +1,6 @@
 (* The full Cinnamon toolchain on one page: write an FHE program in the
    DSL, compile it through the three IRs for several scale-out
-   configurations, validate the machine code structurally, and
+   configurations, verify every artifact statically, and
    cycle-simulate each configuration.
 
    Run with:  dune exec examples/compile_and_simulate.exe *)
@@ -23,11 +23,9 @@ let () =
       ~aligns:[ T.Left; T.Right; T.Right; T.Right; T.Right; T.Right; T.Right ] () in
   List.iter
     (fun (name, chips, sc) ->
-      let r = Cinnamon_compiler.Pipeline.compile (CC.paper ~chips ()) program in
-      (* machine code sanity: the structural emulator must accept it *)
-      let check = Cinnamon_emulator.Check.check r.Cinnamon_compiler.Pipeline.machine in
-      if not (Cinnamon_emulator.Check.ok check) then
-        failwith ("structural check failed for " ^ name);
+      (* the static verifier must accept every artifact, the machine
+         code included (a typed Verification error otherwise) *)
+      let r = Cinnamon_compiler.Pipeline.compile ~verify:true (CC.paper ~chips ()) program in
       let res = Sim.run sc r.Cinnamon_compiler.Pipeline.machine in
       let instrs =
         Array.fold_left

@@ -1,71 +1,61 @@
 (* Lowering: register-allocated limb IR -> the Cinnamon ISA.
 
-   After Belady allocation every value sits in a physical vector
-   register; this pass is a direct translation plus address assignment
-   for loads/stores (a bump allocator standing in for the compiler's
-   HBM layout). *)
+   [Regalloc] hands over every instruction of the allocated stream,
+   spill traffic included, with the physical register of each operand;
+   this pass translates them one by one as they arrive.  HBM addresses
+   are vreg ids: each value's home is the address equal to its id, so a
+   load, a store, a spill and its reload of one value all name it. *)
 
 open Cinnamon_ir
 module L = Limb_ir
 module I = Cinnamon_isa.Isa
+module Error = Cinnamon_util.Error
+
+(* One instruction whose operand registers, reads then writes, are
+   [regs.(k)], [regs.(k + 1)], ... *)
+let instr (ins : L.instr) regs k : I.instr =
+  let reg j = regs.(k + j) in
+  let regs_from j n = List.init n (fun x -> regs.(k + j + x)) in
+  match ins with
+  | L.Compute c -> begin
+    let n = List.length c.L.srcs in
+    let dst = reg n in
+    match (c.L.fu, n) with
+    | L.Fu_add, 2 -> I.Valu { op = I.Op_add; dst; a = reg 0; b = reg 1 }
+    | L.Fu_add, 1 -> I.Valu_scalar { op = I.Op_add; dst; a = reg 0; scalar = 0 }
+    | L.Fu_mul, 2 -> I.Valu { op = I.Op_mul; dst; a = reg 0; b = reg 1 }
+    | L.Fu_mul, 1 -> I.Valu_scalar { op = I.Op_mul; dst; a = reg 0; scalar = 0 }
+    | L.Fu_ntt, 1 -> I.Vntt { dst; src = reg 0 }
+    | L.Fu_intt, 1 -> I.Vintt { dst; src = reg 0 }
+    | L.Fu_auto, 1 -> I.Vauto { dst; src = reg 0; galois = 0 }
+    | L.Fu_bconv, _ -> I.Vbconv { dst; srcs = regs_from 0 n; macs = c.L.macs }
+    | L.Fu_transpose, 1 -> I.Vtranspose { dst; src = reg 0 }
+    | L.Fu_prng, 0 -> I.Vprng { dst }
+    | _, n ->
+      Error.failf Error.Invalid_input
+        "Lower_isa: the compute defining v%d has %d source(s), which its unit's instruction does not take"
+        c.L.dst n
+  end
+  | L.Load v -> I.Vload { dst = reg 0; addr = v }
+  | L.Store v -> I.Vstore { src = reg 0; addr = v }
+  | L.Collective { kind; group; limbs; id; sends; recvs } -> (
+    let n = List.length sends in
+    let sends = regs_from 0 n and recvs = regs_from n (List.length recvs) in
+    match kind with
+    | L.Broadcast -> I.Net_bcast { group; limbs; coll_id = id; sends; recvs }
+    | L.Aggregate_scatter -> I.Net_agg { group; limbs; coll_id = id; sends; recvs })
+  | L.Sync id -> I.Barrier id
 
 let translate_chip ~num_regs (cp : L.chip_program) : I.program * Regalloc.stats =
-  let alloc = Regalloc.allocate ~num_regs cp in
-  (* Physical register ids were tracked inside Regalloc via tables; the
-     emitted stream still names vregs.  For the ISA we renumber vregs
-     into a window of [num_regs] physical names with a simple rotating
-     map (the exact physical indices don't affect timing). *)
-  let phys : (L.vreg, int) Hashtbl.t = Hashtbl.create 256 in
-  let next = ref 0 in
-  let preg v =
-    match Hashtbl.find_opt phys v with
-    | Some r -> r
-    | None ->
-      let r = !next mod num_regs in
-      incr next;
-      Hashtbl.replace phys v r;
-      r
+  let out = ref [] and len = ref 0 in
+  let emit ins regs k =
+    out := instr ins regs k :: !out;
+    incr len
   in
-  let next_addr = ref 0 in
-  let addr_of : (L.vreg, int) Hashtbl.t = Hashtbl.create 64 in
-  let addr v =
-    match Hashtbl.find_opt addr_of v with
-    | Some a -> a
-    | None ->
-      let a = !next_addr in
-      incr next_addr;
-      Hashtbl.add addr_of v a;
-      a
-  in
-  let instrs =
-    List.filter_map
-      (fun instr ->
-        match instr with
-        | L.Compute c -> begin
-          let dst = preg c.L.dst in
-          match (c.L.fu, c.L.srcs) with
-          | L.Fu_add, [ a; b ] -> Some (I.Valu { op = I.Op_add; dst; a = preg a; b = preg b })
-          | L.Fu_add, [ a ] -> Some (I.Valu_scalar { op = I.Op_add; dst; a = preg a; scalar = 0 })
-          | L.Fu_mul, [ a; b ] -> Some (I.Valu { op = I.Op_mul; dst; a = preg a; b = preg b })
-          | L.Fu_mul, [ a ] -> Some (I.Valu_scalar { op = I.Op_mul; dst; a = preg a; scalar = 0 })
-          | L.Fu_ntt, [ a ] -> Some (I.Vntt { dst; src = preg a })
-          | L.Fu_intt, [ a ] -> Some (I.Vintt { dst; src = preg a })
-          | L.Fu_auto, [ a ] -> Some (I.Vauto { dst; src = preg a; galois = 0 })
-          | L.Fu_bconv, srcs -> Some (I.Vbconv { dst; srcs = List.map preg srcs; macs = c.L.macs })
-          | L.Fu_transpose, [ a ] -> Some (I.Vtranspose { dst; src = preg a })
-          | L.Fu_prng, _ -> Some (I.Vprng { dst })
-          | _, _ -> Some (I.Vprng { dst }) (* defensive: unreachable shapes *)
-        end
-        | L.Load v -> Some (I.Vload { dst = preg v; addr = addr v })
-        | L.Store v -> Some (I.Vstore { src = preg v; addr = addr v })
-        | L.Collective { kind = L.Broadcast; group; limbs; id; sends; recvs } ->
-          Some (I.Net_bcast { group; limbs; coll_id = id; sends = List.map preg sends; recvs = List.map preg recvs })
-        | L.Collective { kind = L.Aggregate_scatter; group; limbs; id; sends; recvs } ->
-          Some (I.Net_agg { group; limbs; coll_id = id; sends = List.map preg sends; recvs = List.map preg recvs })
-        | L.Sync id -> Some (I.Barrier id))
-      alloc.Regalloc.instrs
-  in
-  ({ I.chip = cp.L.chip; instrs = Array.of_list instrs; n_regs = min num_regs !next }, alloc.Regalloc.stats)
+  let alloc = Regalloc.allocate ~num_regs ~emit cp in
+  let instrs = Array.make !len (I.Barrier 0) in
+  List.iteri (fun j ins -> instrs.(!len - 1 - j) <- ins) !out;
+  ({ I.chip = cp.L.chip; instrs; n_regs = alloc.Regalloc.n_regs }, alloc.Regalloc.stats)
 
 let translate ~num_regs ~n ~limb_bytes (t : L.t) : I.machine_program * Regalloc.stats array =
   let pairs = Array.map (translate_chip ~num_regs) t.L.chips in

@@ -1,9 +1,12 @@
-(** Lowering: register-allocated limb IR → the Cinnamon ISA, with HBM
-    address assignment. *)
+(** Lowering: register-allocated limb IR → the Cinnamon ISA.  The
+    registers are {!Regalloc}'s; each value's HBM address is its vreg
+    id. *)
 
 open Cinnamon_ir
 
-(** Whole machine. *)
+(** Whole machine.  Raises [Cinnamon_util.Error] of kind
+    [Invalid_input] for a compute whose source count its unit's
+    instruction does not take (e.g. an NTT of two limbs). *)
 val translate :
   num_regs:int ->
   n:int ->

@@ -9,8 +9,11 @@
 
    Input: one chip's limb-IR instruction list, which defines each vreg
    once, before reading it (as [Limb_ir]'s builder emits).
-   Output: the same stream with Vload/Vstore spill traffic made
-   explicit, plus spill statistics.
+   Output: the same stream with Load/Store spill traffic made explicit,
+   handed instruction by instruction to a callback together with the
+   physical register of every operand, plus spill statistics.  The
+   allocator is the only place register names are chosen; [Lower_isa]
+   writes them into the ISA as they arrive.
 
    Cost: O(1) per operand and O(log R) per eviction for an R-register
    file.  The chip's vregs get dense local ids, so every per-value
@@ -27,8 +30,7 @@ module L = Limb_ir
 type stats = { spills : int; reloads : int; peak_live : int }
 
 type assignment = {
-  instrs : L.instr list; (* the input stream plus spill Load/Store ops; operands stay vregs *)
-  n_regs : int;
+  n_regs : int; (* registers handed out: every register named lies in [0, n_regs) *)
   stats : stats;
 }
 
@@ -52,7 +54,7 @@ module Vreg_tbl = Hashtbl.Make (struct
   let hash v = v land max_int
 end)
 
-let allocate ~num_regs (cp : L.chip_program) : assignment =
+let allocate ~num_regs ~emit (cp : L.chip_program) : assignment =
   let n = List.length cp.L.instrs in
   (* Operand slots: instruction [i] owns slots [first.(i)] to
      [first.(i + 1) - 1], its reads first. *)
@@ -103,7 +105,9 @@ let allocate ~num_regs (cp : L.chip_program) : assignment =
   (* Per value: [reg_of] its register or -1.  Per register: [vreg_in]
      its value or -1, [reg_next_use] the next instruction that reads it
      (the heap key), [claimed.(r) = i] while it holds an operand
-     instruction [i] has read, which [i] must not evict. *)
+     instruction [i] has read or written, which [i] must not evict (a
+     collective's later receives would otherwise evict its earlier
+     ones). *)
   let reg_of = Array.make n_vals (-1) in
   let spilled = Bytes.make n_vals '\000' in
   let vreg_in = Array.make num_regs (-1) in
@@ -158,10 +162,14 @@ let allocate ~num_regs (cp : L.chip_program) : assignment =
     reg_next_use.(r) <- key;
     if key > old then sift_up slot.(r) r else if key < old then sift_down slot.(r) r
   in
-  let out = ref [] in
   let spills = ref 0 and reloads = ref 0 and peak = ref 0 in
   let live = ref 0 in
-  let emit i = out := i :: !out in
+  (* A spill store or reload has one operand, passed in [one]. *)
+  let one = [| 0 |] in
+  let emit_spill ins r =
+    one.(0) <- r;
+    emit ins one 0
+  in
   let evict_one i =
     (* Belady: the victim is the resident value with the farthest next
        use, skipping claimed registers.  It stays in the heap until
@@ -184,7 +192,7 @@ let allocate ~num_regs (cp : L.chip_program) : assignment =
     if reg_next_use.(r) <> max_int && Bytes.get spilled id = '\000' then begin
       Bytes.set spilled id '\001';
       incr spills;
-      emit (L.Store glob.(id))
+      emit_spill (L.Store glob.(id)) r
     end;
     vreg_in.(r) <- -1;
     r
@@ -220,22 +228,27 @@ let allocate ~num_regs (cp : L.chip_program) : assignment =
         let r = alloc_reg i in
         occupy id r key;
         if Bytes.get spilled id <> '\000' then incr reloads;
-        emit (L.Load glob.(id));
+        emit_spill (L.Load glob.(id)) r;
         r
       end
     in
-    claimed.(r) <- i
+    claimed.(r) <- i;
+    r
   in
-  let write i k = occupy (ops.(k) lsr 1) (alloc_reg i) next.(k) in
+  let write i k =
+    let r = alloc_reg i in
+    occupy (ops.(k) lsr 1) r next.(k);
+    claimed.(r) <- i;
+    r
+  in
+  (* Once a slot has its register, its value id is no longer needed:
+     the slot holds the register from then on, and [emit] reads the
+     instruction's registers from there. *)
   List.iteri
     (fun i ins ->
       for k = first.(i) to first.(i + 1) - 1 do
-        if ops.(k) land 1 = 0 then read i k else write i k
+        ops.(k) <- (if ops.(k) land 1 = 0 then read i k else write i k)
       done;
-      emit ins)
+      emit ins ops first.(i))
     cp.L.instrs;
-  {
-    instrs = List.rev !out;
-    n_regs = num_regs;
-    stats = { spills = !spills; reloads = !reloads; peak_live = !peak };
-  }
+  { n_regs = !next_free; stats = { spills = !spills; reloads = !reloads; peak_live = !peak } }

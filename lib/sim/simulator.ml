@@ -25,6 +25,7 @@
 module I = Cinnamon_isa.Isa
 module C = Sim_config
 module Tel = Cinnamon_telemetry.Telemetry
+module Error = Cinnamon_util.Error
 
 type utilization = {
   compute : float; (* area-weighted-ish average busy fraction of FUs *)
@@ -115,6 +116,18 @@ let new_chip_state n_regs =
     st_hbm = 0;
     st_network = 0;
   }
+
+(* Each scoreboard has [n_regs] entries: reject a register outside them
+   before simulating anything. *)
+let check_registers (p : I.program) =
+  Array.iteri
+    (fun i ins ->
+      let outside r = r < 0 || r >= p.I.n_regs in
+      if List.exists outside (I.reads ins) || List.exists outside (I.writes ins) then
+        Error.failf Error.Invalid_input
+          "Simulator.run: chip %d instruction %d (%s) names a register outside [0, %d)" p.I.chip i
+          (I.mnemonic ins) p.I.n_regs)
+    p.I.instrs
 
 let src_ready st regs = List.fold_left (fun t r -> max t st.reg_ready.(r)) 0 regs
 
@@ -230,9 +243,8 @@ let run_until_collective cfg ~n_elems ~chip prog st =
 let run cfg (mp : I.machine_program) : result =
   let n_elems = mp.I.n in
   let traced = Tel.enabled () in
-  let states =
-    Array.map (fun p -> new_chip_state (max p.I.n_regs 512)) mp.I.programs
-  in
+  Array.iter check_registers mp.I.programs;
+  let states = Array.map (fun p -> new_chip_state p.I.n_regs) mp.I.programs in
   let chips = Array.length mp.I.programs in
   if traced then
     Array.iteri
@@ -300,9 +312,7 @@ let run cfg (mp : I.machine_program) : result =
                 | true -> begin
                   match mp.I.programs.(c').I.instrs.(st'.pc) with
                   | I.Net_bcast { recvs; _ } | I.Net_agg { recvs; _ } ->
-                    List.iter
-                      (fun r -> if r < Array.length st'.reg_ready then st'.reg_ready.(r) <- t_done)
-                      recvs
+                    List.iter (fun r -> st'.reg_ready.(r) <- t_done) recvs
                   | _ -> ()
                 end
                 | false -> ());

@@ -43,5 +43,7 @@ type result = {
 }
 
 (** Simulate a compiled machine program on a hardware configuration.
-    Deterministic. Raises on inconsistent collective groups. *)
+    Deterministic.  Raises [Cinnamon_util.Error] of kind [Invalid_input]
+    if an instruction names a register outside its program's
+    [\[0, n_regs)], and [Failure] on inconsistent collective groups. *)
 val run : Sim_config.t -> Cinnamon_isa.Isa.machine_program -> result

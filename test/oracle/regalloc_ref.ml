@@ -2,14 +2,15 @@
    eviction scans the whole register file for the resident value with
    the farthest next use, lowest register first on ties.  Kept as the
    differential oracle for {!Cinnamon_compiler.Regalloc.allocate},
-   which must return the same instructions and statistics (or the same
-   typed [Capacity] error) on every program. *)
+   which must emit the same instructions with the same registers and
+   return the same statistics (or the same typed [Capacity] error) on
+   every program.  Free registers are handed out lowest first. *)
 
 open Cinnamon_ir
 module L = Limb_ir
 open Cinnamon_compiler.Regalloc
 
-let allocate ~num_regs (cp : L.chip_program) : assignment =
+let allocate ~num_regs ~emit (cp : L.chip_program) : assignment =
   let arr = Array.of_list cp.L.instrs in
   (* Use positions per vreg with a monotone cursor: queries arrive with
      nondecreasing instruction indices, so lookup is O(1) amortized. *)
@@ -50,10 +51,10 @@ let allocate ~num_regs (cp : L.chip_program) : assignment =
   let reg_next_use = Array.make num_regs max_int in
   let free = ref (List.init num_regs (fun r -> r)) in
   let spilled : (L.vreg, unit) Hashtbl.t = Hashtbl.create 64 in
-  let out = ref [] in
   let spills = ref 0 and reloads = ref 0 and peak = ref 0 in
   let live = ref 0 in
-  let emit i = out := i :: !out in
+  let used = ref 0 in
+  let emit_regs ins regs = emit ins (Array.of_list regs) 0 in
   let evict_one i ~forbidden =
     (* Belady: evict the resident vreg with the farthest next use. *)
     let best = ref (-1) and best_dist = ref (-1) in
@@ -74,7 +75,7 @@ let allocate ~num_regs (cp : L.chip_program) : assignment =
       if next_use_after v i <> max_int && not (Hashtbl.mem spilled v) then begin
         Hashtbl.add spilled v ();
         incr spills;
-        emit (L.Store v)
+        emit_regs (L.Store v) [ r ]
       end
     | None -> ());
     vreg_in.(r) <- None;
@@ -85,6 +86,7 @@ let allocate ~num_regs (cp : L.chip_program) : assignment =
     match !free with
     | r :: rest ->
       free := rest;
+      used := max !used (r + 1);
       r
     | [] -> evict_one i ~forbidden
   in
@@ -101,7 +103,7 @@ let allocate ~num_regs (cp : L.chip_program) : assignment =
       incr live;
       peak := max !peak !live;
       if Hashtbl.mem spilled v then incr reloads;
-      emit (L.Load v);
+      emit_regs (L.Load v) [ r ];
       r
   in
   let define i v ~forbidden =
@@ -113,33 +115,26 @@ let allocate ~num_regs (cp : L.chip_program) : assignment =
     peak := max !peak !live;
     r
   in
+  (* An instruction's registers, read or written, are off limits to
+     the evictions of its later operands. *)
   Array.iteri
     (fun i instr ->
-      (match instr with
+      let forbidden = ref [] in
+      let claim r =
+        forbidden := r :: !forbidden;
+        r
+      in
+      let read v = claim (ensure_resident i v ~forbidden:!forbidden) in
+      let write v = claim (define i v ~forbidden:!forbidden) in
+      match instr with
       | L.Compute c ->
-        let forbidden = ref [] in
-        List.iter
-          (fun v ->
-            let r = ensure_resident i v ~forbidden:!forbidden in
-            forbidden := r :: !forbidden)
-          c.L.srcs;
-        ignore (define i c.L.dst ~forbidden:!forbidden);
-        emit instr
-      | L.Load v ->
-        ignore (define i v ~forbidden:[]);
-        emit instr
-      | L.Store v ->
-        ignore (ensure_resident i v ~forbidden:[]);
-        emit instr
+        let srcs = List.map read c.L.srcs in
+        emit_regs instr (srcs @ [ write c.L.dst ])
+      | L.Load v -> emit_regs instr [ write v ]
+      | L.Store v -> emit_regs instr [ read v ]
       | L.Collective { sends; recvs; _ } ->
-        let forbidden = ref [] in
-        List.iter (fun v -> forbidden := ensure_resident i v ~forbidden:!forbidden :: !forbidden) sends;
-        List.iter (fun v -> ignore (define i v ~forbidden:!forbidden)) recvs;
-        emit instr
-      | L.Sync _ -> emit instr))
+        let sends = List.map read sends in
+        emit_regs instr (sends @ List.map write recvs)
+      | L.Sync _ -> emit_regs instr [])
     arr;
-  {
-    instrs = List.rev !out;
-    n_regs = num_regs;
-    stats = { spills = !spills; reloads = !reloads; peak_live = !peak };
-  }
+  { n_regs = !used; stats = { spills = !spills; reloads = !reloads; peak_live = !peak } }

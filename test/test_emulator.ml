@@ -1,7 +1,8 @@
-(* Tests for the emulator: structural ISA validation and end-to-end
-   functional execution of compiled programs through the parallel
-   keyswitching algorithms, compared against plain CKKS evaluation and
-   the expected plaintext result (the paper's §6.2 emulator check). *)
+(* Tests for the emulator: end-to-end functional execution of compiled
+   programs through the parallel keyswitching algorithms, compared
+   against plain CKKS evaluation and the expected plaintext result (the
+   paper's §6.2 emulator check).  The structural checks of compiled
+   ISA programs are the static verifier's (test_verify.ml). *)
 
 open Cinnamon_compiler
 open Cinnamon_ckks
@@ -10,56 +11,6 @@ module F = Cinnamon_emulator.Functional
 module Rng = Cinnamon_util.Rng
 module Cplx = Cinnamon_util.Cplx
 module Stats = Cinnamon_util.Stats
-
-(* --- structural checks (Check) --------------------------------------------- *)
-
-let compile_small prog = Pipeline.compile (Compile_config.paper ~chips:4 ()) prog
-
-let test_check_accepts_compiled () =
-  let prog =
-    Dsl.program (fun p ->
-        let v = Dsl.input p "v" in
-        Dsl.output (Dsl.bsgs_matvec v ~diagonals:9 ~name:"m") "out")
-  in
-  let r = compile_small prog in
-  let report = Cinnamon_emulator.Check.check r.Pipeline.machine in
-  Alcotest.(check bool)
-    (Format.asprintf "%a" Cinnamon_emulator.Check.pp_report report)
-    true
-    (Cinnamon_emulator.Check.ok report)
-
-let test_check_catches_bad_read () =
-  let open Cinnamon_isa.Isa in
-  let bad =
-    {
-      programs =
-        [|
-          { chip = 0; instrs = [| Valu { op = Op_add; dst = 1; a = 0; b = 0 } |]; n_regs = 2 };
-        |];
-      limb_bytes = 1024;
-      n = 64;
-    }
-  in
-  let report = Cinnamon_emulator.Check.check bad in
-  Alcotest.(check bool) "flags never-written read" false (Cinnamon_emulator.Check.ok report)
-
-let test_check_catches_missing_collective () =
-  let open Cinnamon_isa.Isa in
-  let bad =
-    {
-      programs =
-        [|
-          { chip = 0;
-            instrs = [| Net_bcast { group = [ 0; 1 ]; limbs = 1; coll_id = 0; sends = []; recvs = [] } |];
-            n_regs = 1 };
-          { chip = 1; instrs = [||]; n_regs = 1 };
-        |];
-      limb_bytes = 1024;
-      n = 64;
-    }
-  in
-  let report = Cinnamon_emulator.Check.check bad in
-  Alcotest.(check bool) "flags missing participant" false (Cinnamon_emulator.Check.ok report)
 
 (* --- functional emulation ---------------------------------------------------- *)
 
@@ -235,9 +186,6 @@ let test_emulator_typed_errors () =
 let suite =
   ( "emulator",
     [
-      Alcotest.test_case "check accepts compiled" `Quick test_check_accepts_compiled;
-      Alcotest.test_case "check catches bad read" `Quick test_check_catches_bad_read;
-      Alcotest.test_case "check catches missing participant" `Quick test_check_catches_missing_collective;
       Alcotest.test_case "functional e2e" `Slow test_emulator_end_to_end;
       Alcotest.test_case "pass algorithms used" `Quick test_emulator_uses_pass_algorithms;
       Alcotest.test_case "add-only program" `Quick test_emulator_add_only_program;

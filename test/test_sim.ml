@@ -87,6 +87,24 @@ let test_empty_program () =
   let r = Sim.run SC.cinnamon_1 mp in
   Alcotest.(check bool) "terminates" true (r.Sim.cycles >= 1)
 
+(* A register at or past [n_regs] is a typed [Invalid_input] before
+   anything runs: a compute's destination, and a collective's receive,
+   which the simulator used to skip. *)
+let test_register_out_of_range () =
+  let open Cinnamon_isa.Isa in
+  let rejects what programs =
+    match Sim.run SC.cinnamon_4 { programs; limb_bytes = 4; n = 64 } with
+    | _ -> Alcotest.failf "%s: simulated" what
+    | exception Cinnamon_util.Error.Error e ->
+      Alcotest.(check string) what "invalid-input" (Cinnamon_util.Error.kind_name e.Cinnamon_util.Error.kind)
+  in
+  rejects "vprng into r2 of 2"
+    [| { chip = 0; instrs = [| Vprng { dst = 0 }; Vprng { dst = 2 } |]; n_regs = 2 } |];
+  let bcast recvs = Net_bcast { group = [ 0; 1 ]; limbs = 1; coll_id = 0; sends = []; recvs } in
+  rejects "broadcast into r1 of 1"
+    [| { chip = 0; instrs = [| bcast [ 0 ] |]; n_regs = 1 };
+       { chip = 1; instrs = [| bcast [ 1 ] |]; n_regs = 1 } |]
+
 (* --- CPU model ------------------------------------------------------------ *)
 
 let test_cpu_model_magnitudes () =
@@ -117,6 +135,7 @@ let suite =
       Alcotest.test_case "op cycle model" `Quick test_op_cycles_model;
       Alcotest.test_case "mem cycle model" `Quick test_mem_cycles_model;
       Alcotest.test_case "empty program" `Quick test_empty_program;
+      Alcotest.test_case "register out of range is typed" `Quick test_register_out_of_range;
       Alcotest.test_case "cpu model magnitudes" `Quick test_cpu_model_magnitudes;
       Alcotest.test_case "cpu model scaling" `Quick test_cpu_model_scaling;
     ] )
