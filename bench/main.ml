@@ -776,6 +776,16 @@ let kernels () =
   record_micro ~kernel:"ntt_forward" ~n ~limbs:1 ~bytes:ntt_bytes (1e6 *. ntt_s);
   record_micro ~kernel:"ntt_inverse" ~n ~limbs:1 ~bytes:ntt_bytes
     (1e6 *. time_it ~reps:(reps * 8) (fun () -> Ntt.inverse_into plan ~src:a ~dst:scratch));
+  (* the same transforms at a 30-bit prime, which keep every value
+     < 2q instead of the 4q-lazy forward: the path of every keyswitch's
+     special primes *)
+  let q30 = List.hd (Prime_gen.gen_primes ~bits:30 ~n ~count:1 ()) in
+  let plan30 = Ntt.plan ~q:q30 ~n in
+  let a30 = Limb_buf.init n (fun _ -> Cinnamon_util.Rng.int rng q30) in
+  record_micro ~kernel:"ntt_forward_q30" ~n ~limbs:1 ~bytes:ntt_bytes
+    (1e6 *. time_it ~reps:(reps * 8) (fun () -> Ntt.forward_into plan30 ~src:a30 ~dst:scratch));
+  record_micro ~kernel:"ntt_inverse_q30" ~n ~limbs:1 ~bytes:ntt_bytes
+    (1e6 *. time_it ~reps:(reps * 8) (fun () -> Ntt.inverse_into plan30 ~src:a30 ~dst:scratch));
   (* CPU-column calibration: Cpu_model extrapolates from the
      single-core forward NTT just recorded *)
   let boot =
