@@ -339,7 +339,8 @@ let run cfg (mp : I.machine_program) : result =
                     | (_, g, _, _) :: _ -> List.map string_of_int g
                     | [] -> []))))
           pending;
-        failwith ("Simulator: collective rendezvous deadlock: " ^ Buffer.contents buf)
+        Error.failf Error.Invalid_input "Simulator.run: collective rendezvous deadlock: %s"
+          (Buffer.contents buf)
       end
       else ()
     end

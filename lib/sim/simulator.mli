@@ -45,5 +45,7 @@ type result = {
 (** Simulate a compiled machine program on a hardware configuration.
     Deterministic.  Raises [Cinnamon_util.Error] of kind [Invalid_input]
     if an instruction names a register outside its program's
-    [\[0, n_regs)], and [Failure] on inconsistent collective groups. *)
+    [\[0, n_regs)], or if inconsistent collective groups deadlock the
+    rendezvous (the message names each pending collective id, the
+    chips that arrived and the group). *)
 val run : Sim_config.t -> Cinnamon_isa.Isa.machine_program -> result
