@@ -14,19 +14,8 @@
    psi^(2*br(j) + 1).  This is what makes the Eval-domain Galois
    permutation below a pure index shuffle.
 
-   Reduction strategy (Harvey-style): butterflies keep residues in a
-   redundant representation instead of canonically reducing every
-   output.  Twiddle products use Shoup constants (Modarith.shoup):
-   v = x*w - (x*w' lsr 31)*q lies in [0, 2q) at the cost of two
-   multiplies, a shift and a subtract.  When q < 2^29 the forward pass
-   lets values drift up to < 4q and re-centers one butterfly input per
-   visit with a single conditional subtract, folding the full
-   reduction to [0, q) into the final t = 1 stage; at the full 30-bit
-   modulus width the invariant tightens to < 2q so every product stays
-   below 2^62.  The inverse keeps everything < 2q and reduces during
-   the N^-1 scaling.  Corrections are branchless
-   (r + (c land (r asr 62)) after r = x - c) — the butterfly loop is
-   the hottest loop in the library and mispredicts would dominate.
+   Butterflies keep residues in a redundant representation; the bounds
+   are stated beside the arithmetic helpers below.
 
    Tables are computed once per (q, N) and cached; the caches are
    Memo tables because plans are built lazily from concurrent domains
@@ -89,220 +78,159 @@ let plan ~q ~n =
 let plan_modulus plan = plan.md
 
 (* ------------------------------------------------------------------ *)
-(* Sequential forward.  The 4q-lazy variant is the benchmark path:
-   unrolled by two (block length t is a power of two >= 2 in every
-   non-final stage, so there is never a tail) with the final t = 1
-   stage specialized to emit canonical residues. *)
+(* Butterfly arithmetic (Harvey-style lazy reduction).
+
+   Butterflies keep residues in a redundant representation instead of
+   reducing every output canonically:
+   - forward, q < 2^29 (lazy4): values stay < 4q.  Each butterfly
+     re-centers its first input below 2q with one conditional
+     subtract, and the outputs u + v and u - v + 2q are left < 4q;
+   - forward at 29..30 bits: values stay < 2q, so every product stays
+     below 2^62.  Each output gets one conditional subtract of 2q;
+   - inverse: values stay < 2q.  The sum gets one conditional
+     subtract, the difference leaves through the twiddle product.  At
+     29..30 bits the difference (< 4q) is folded below 2q first;
+   - on exit every public entry point writes canonical [0, q): the
+     last forward stage and the N^-1 scaling correct fully.
+
+   The helpers are top-level [@inline always] definitions in this unit,
+   like bget/bset: a local closure (a [let step j = ...] inside a
+   kernel) is not inlined and allocates on every call.  Flags are
+   literal at every call site, so each inlined copy keeps only its own
+   corrections, and the lazy4 / last-stage tests stay outside the
+   butterfly loops.  Corrections are branchless: the butterfly loop is
+   the hottest loop in the library and mispredicts would dominate. *)
+
+(* x - c if x >= c, else x; for 0 <= x < 2c. *)
+let[@inline always] csub x c =
+  let r = x - c in
+  r + (c land (r asr 62))
+
+(* Shoup product (Modarith.shoup): x*w mod q, landing in [0, 2q), for
+   x < 4q with w' the Shoup constant of w. *)
+let[@inline always] shoup ~sh ~q x w w' = (x * w) - (((x * w') lsr sh) * q)
+
+(* [corr] conditional subtracts of an x < 4q: 0 leaves it < 4q, 1
+   folds it below 2q, 2 makes it canonical. *)
+let[@inline always] correct ~corr ~q ~q2 x =
+  if corr = 0 then x else if corr = 1 then csub x q2 else csub (csub x q2) q
+
+(* Cooley–Tukey butterfly on slots (j, j + t) with twiddle (w, w'):
+   (u, x) -> (u + x*w, u - x*w).  [fold] re-centers u below 2q first
+   (the lazy4 inputs); each output then gets [corr] corrections. *)
+let[@inline always] ct ~fold ~corr ~q ~q2 ~sh a ~w ~w' j t =
+  let u = bget a j in
+  let u = if fold then csub u q2 else u in
+  let v = shoup ~sh ~q (bget a (j + t)) w w' in
+  bset a j (correct ~corr ~q ~q2 (u + v));
+  bset a (j + t) (correct ~corr ~q ~q2 (u - v + q2))
+
+(* Gentleman–Sande butterfly on slots (j, j + t) with twiddle (s, s'):
+   (u, v) -> (u + v, (u - v)*s).  [fold] folds the difference below 2q
+   before the product (the 29..30-bit moduli). *)
+let[@inline always] gs ~fold ~q ~q2 ~sh a ~s ~s' j t =
+  let u = bget a j and v = bget a (j + t) in
+  bset a j (csub (u + v) q2);
+  let d = u - v + q2 in
+  let d = if fold then csub d q2 else d in
+  bset a (j + t) (shoup ~sh ~q d s s')
+
+(* The inverse's final scaling of slot j by a canonical scalar: < 2q
+   in, canonical out. *)
+let[@inline always] scale_step ~q ~sh a ~ninv ~ninv_sh j =
+  bset a j (csub (shoup ~sh ~q (bget a j) ninv ninv_sh) q)
+
+(* ------------------------------------------------------------------ *)
+(* Stages.  A stage with block length t >= 2 unrolls its in-block loop
+   by two (t is a power of two, so there is never a tail); the t = 1
+   stage iterates the adjacent pairs of its blocks directly. *)
+
+(* Forward stage with m blocks of length t >= 2. *)
+let[@inline always] ct_stage ~fold ~corr plan a ~m ~t =
+  let q = Modarith.q plan.md and sh = Modarith.shoup_shift in
+  let q2 = q * 2 in
+  for i = 0 to m - 1 do
+    let w = Array.unsafe_get plan.psi_br (m + i) and w' = Array.unsafe_get plan.psi_sh (m + i) in
+    let j1 = 2 * i * t in
+    let j = ref j1 in
+    while !j < j1 + t do
+      let j0 = !j in
+      ct ~fold ~corr ~q ~q2 ~sh a ~w ~w' j0 t;
+      ct ~fold ~corr ~q ~q2 ~sh a ~w ~w' (j0 + 1) t;
+      j := j0 + 2
+    done
+  done
+
+(* The final forward stage (t = 1): outputs canonical. *)
+let[@inline always] ct_last ~fold plan a ~m =
+  let q = Modarith.q plan.md and sh = Modarith.shoup_shift in
+  let q2 = q * 2 in
+  for i = 0 to m - 1 do
+    let w = Array.unsafe_get plan.psi_br (m + i) and w' = Array.unsafe_get plan.psi_sh (m + i) in
+    ct ~fold ~corr:2 ~q ~q2 ~sh a ~w ~w' (2 * i) 1
+  done
 
 let forward_seq plan (a : Limb_buf.t) =
   let n = plan.n in
-  let q = Modarith.q plan.md in
-  let q2 = q * 2 in
-  let sh = Modarith.shoup_shift in
-  let psi_br = plan.psi_br and psi_sh = plan.psi_sh in
-  if plan.lazy4 then begin
-    let t = ref n and m = ref 1 in
-    while !m < n do
-      t := !t / 2;
-      let mm = !m in
-      if 2 * mm >= n then
-        (* final stage, t = 1: inputs < 4q, outputs canonical [0, q) *)
-        for i = 0 to mm - 1 do
-          let j = 2 * i in
-          let w = Array.unsafe_get psi_br (mm + i) in
-          let w' = Array.unsafe_get psi_sh (mm + i) in
-          let u = bget a j in
-          let u = let r = u - q2 in r + (q2 land (r asr 62)) in
-          let x1 = bget a (j + 1) in
-          let v = (x1 * w) - (((x1 * w') lsr sh) * q) in
-          let s0 = u + v in
-          let s0 = let r = s0 - q2 in r + (q2 land (r asr 62)) in
-          let s0 = let r = s0 - q in r + (q land (r asr 62)) in
-          bset a j s0;
-          let d = u - v + q2 in
-          let d = let r = d - q2 in r + (q2 land (r asr 62)) in
-          let d = let r = d - q in r + (q land (r asr 62)) in
-          bset a (j + 1) d
-        done
-      else begin
-        let tt = !t in
-        for i = 0 to mm - 1 do
-          let w = Array.unsafe_get psi_br (mm + i) in
-          let w' = Array.unsafe_get psi_sh (mm + i) in
-          let j1 = 2 * i * tt in
-          let stop = j1 + tt in
-          let j = ref j1 in
-          while !j < stop do
-            let j0 = !j in
-            let u = bget a j0 in
-            let u = let r = u - q2 in r + (q2 land (r asr 62)) in
-            let x1 = bget a (j0 + tt) in
-            let v = (x1 * w) - (((x1 * w') lsr sh) * q) in
-            bset a j0 (u + v);
-            bset a (j0 + tt) (u - v + q2);
-            let u = bget a (j0 + 1) in
-            let u = let r = u - q2 in r + (q2 land (r asr 62)) in
-            let x1 = bget a (j0 + 1 + tt) in
-            let v = (x1 * w) - (((x1 * w') lsr sh) * q) in
-            bset a (j0 + 1) (u + v);
-            bset a (j0 + 1 + tt) (u - v + q2);
-            j := j0 + 2
-          done
-        done
-      end;
-      m := mm * 2
-    done
-  end
-  else begin
-    (* full 30-bit moduli: keep every value < 2q *)
-    let t = ref n and m = ref 1 in
-    while !m < n do
-      t := !t / 2;
-      let mm = !m and tt = !t in
-      let last = 2 * mm >= n in
-      for i = 0 to mm - 1 do
-        let w = Array.unsafe_get psi_br (mm + i) in
-        let w' = Array.unsafe_get psi_sh (mm + i) in
-        let j1 = 2 * i * tt in
-        let j2 = j1 + tt - 1 in
-        if last then
-          for j = j1 to j2 do
-            let u = bget a j in
-            let x1 = bget a (j + tt) in
-            let v = (x1 * w) - (((x1 * w') lsr sh) * q) in
-            let s0 = u + v in
-            let s0 = let r = s0 - q2 in r + (q2 land (r asr 62)) in
-            let s0 = let r = s0 - q in r + (q land (r asr 62)) in
-            bset a j s0;
-            let d = u - v + q2 in
-            let d = let r = d - q2 in r + (q2 land (r asr 62)) in
-            let d = let r = d - q in r + (q land (r asr 62)) in
-            bset a (j + tt) d
-          done
-        else
-          for j = j1 to j2 do
-            let u = bget a j in
-            let x1 = bget a (j + tt) in
-            let v = (x1 * w) - (((x1 * w') lsr sh) * q) in
-            let s0 = u + v in
-            let s0 = let r = s0 - q2 in r + (q2 land (r asr 62)) in
-            bset a j s0;
-            let d = u - v + q2 in
-            let d = let r = d - q2 in r + (q2 land (r asr 62)) in
-            bset a (j + tt) d
-          done
-      done;
-      m := mm * 2
-    done
-  end
+  let t = ref n and m = ref 1 in
+  while !m < n do
+    t := !t / 2;
+    let m' = !m and t' = !t in
+    (match (plan.lazy4, t') with
+    | true, 1 -> ct_last ~fold:true plan a ~m:m'
+    | false, 1 -> ct_last ~fold:false plan a ~m:m'
+    | true, _ -> ct_stage ~fold:true ~corr:0 plan a ~m:m' ~t:t'
+    | false, _ -> ct_stage ~fold:false ~corr:1 plan a ~m:m' ~t:t');
+    m := m' * 2
+  done
 
 (* Final scaling of the inverse by an arbitrary canonical scalar
-   (N^-1, or N^-1 fused with a caller factor); reduces < 2q values to
-   [0, q).  Unrolled by two — n is a power of two >= 2 everywhere this
-   runs, so there is never a tail. *)
+   (N^-1, or N^-1 fused with a caller factor), unrolled by two. *)
 let inv_scale_range_with plan (a : Limb_buf.t) ~ninv ~ninv_sh ~lo ~hi =
-  let q = Modarith.q plan.md in
-  let sh = Modarith.shoup_shift in
+  let q = Modarith.q plan.md and sh = Modarith.shoup_shift in
   let j = ref lo in
   while !j < hi - 1 do
     let j0 = !j in
-    let x = bget a j0 in
-    let v = (x * ninv) - (((x * ninv_sh) lsr sh) * q) in
-    let v = let r = v - q in r + (q land (r asr 62)) in
-    bset a j0 v;
-    let x = bget a (j0 + 1) in
-    let v = (x * ninv) - (((x * ninv_sh) lsr sh) * q) in
-    let v = let r = v - q in r + (q land (r asr 62)) in
-    bset a (j0 + 1) v;
+    scale_step ~q ~sh a ~ninv ~ninv_sh j0;
+    scale_step ~q ~sh a ~ninv ~ninv_sh (j0 + 1);
     j := j0 + 2
   done;
-  if !j < hi then begin
-    let x = bget a !j in
-    let v = (x * ninv) - (((x * ninv_sh) lsr sh) * q) in
-    let v = let r = v - q in r + (q land (r asr 62)) in
-    bset a !j v
-  end
+  if !j < hi then scale_step ~q ~sh a ~ninv ~ninv_sh !j
 
-(* One inverse (Gentleman–Sande) stage with h blocks of stride t,
-   mirroring the treatment the forward pass gets: the t = 1 stage
-   iterates stride-2 pairs directly (unrolled across blocks), larger
-   strides unroll the in-block loop by two (t is a power of two >= 2,
-   so no tail).  The inverse keeps every value < 2q: the sum leg gets
-   one conditional subtract, the difference leg exits through the
-   Shoup product which lands in [0, 2q) by construction. *)
-let inv_stage_seq plan (a : Limb_buf.t) ~h ~t =
-  let q = Modarith.q plan.md in
+(* Inverse stage with h blocks of length t >= 2. *)
+let[@inline always] gs_stage ~fold plan a ~h ~t =
+  let q = Modarith.q plan.md and sh = Modarith.shoup_shift in
   let q2 = q * 2 in
-  let sh = Modarith.shoup_shift in
-  let ipsi = plan.inv_psi_br and ipsh = plan.inv_psi_sh in
-  let lazy4 = plan.lazy4 in
-  if t = 1 then
-    for i = 0 to h - 1 do
-      let s = Array.unsafe_get ipsi (h + i) in
-      let s' = Array.unsafe_get ipsh (h + i) in
-      let j = 2 * i in
-      let u = bget a j in
-      let v = bget a (j + 1) in
-      let su = u + v in
-      let su = let r = su - q2 in r + (q2 land (r asr 62)) in
-      bset a j su;
-      let d = u - v + q2 in
-      let d = if lazy4 then d else (let r = d - q2 in r + (q2 land (r asr 62))) in
-      let x = (d * s) - (((d * s') lsr sh) * q) in
-      bset a (j + 1) x
+  for i = 0 to h - 1 do
+    let s = Array.unsafe_get plan.inv_psi_br (h + i) in
+    let s' = Array.unsafe_get plan.inv_psi_sh (h + i) in
+    let j1 = 2 * i * t in
+    let j = ref j1 in
+    while !j < j1 + t do
+      let j0 = !j in
+      gs ~fold ~q ~q2 ~sh a ~s ~s' j0 t;
+      gs ~fold ~q ~q2 ~sh a ~s ~s' (j0 + 1) t;
+      j := j0 + 2
     done
-  else
-    for i = 0 to h - 1 do
-      let s = Array.unsafe_get ipsi (h + i) in
-      let s' = Array.unsafe_get ipsh (h + i) in
-      let j1 = 2 * i * t in
-      let stop = j1 + t in
-      let j = ref j1 in
-      if lazy4 then
-        while !j < stop do
-          let j0 = !j in
-          let u = bget a j0 in
-          let v = bget a (j0 + t) in
-          let su = u + v in
-          let su = let r = su - q2 in r + (q2 land (r asr 62)) in
-          bset a j0 su;
-          let d = u - v + q2 in
-          let x = (d * s) - (((d * s') lsr sh) * q) in
-          bset a (j0 + t) x;
-          let u = bget a (j0 + 1) in
-          let v = bget a (j0 + 1 + t) in
-          let su = u + v in
-          let su = let r = su - q2 in r + (q2 land (r asr 62)) in
-          bset a (j0 + 1) su;
-          let d = u - v + q2 in
-          let x = (d * s) - (((d * s') lsr sh) * q) in
-          bset a (j0 + 1 + t) x;
-          j := j0 + 2
-        done
-      else
-        while !j < stop do
-          let j0 = !j in
-          let u = bget a j0 in
-          let v = bget a (j0 + t) in
-          let su = u + v in
-          let su = let r = su - q2 in r + (q2 land (r asr 62)) in
-          bset a j0 su;
-          let d = u - v + q2 in
-          let d = let r = d - q2 in r + (q2 land (r asr 62)) in
-          let x = (d * s) - (((d * s') lsr sh) * q) in
-          bset a (j0 + t) x;
-          let u = bget a (j0 + 1) in
-          let v = bget a (j0 + 1 + t) in
-          let su = u + v in
-          let su = let r = su - q2 in r + (q2 land (r asr 62)) in
-          bset a (j0 + 1) su;
-          let d = u - v + q2 in
-          let d = let r = d - q2 in r + (q2 land (r asr 62)) in
-          let x = (d * s) - (((d * s') lsr sh) * q) in
-          bset a (j0 + 1 + t) x;
-          j := j0 + 2
-        done
-    done
+  done
+
+(* The first inverse stage (t = 1). *)
+let[@inline always] gs_first ~fold plan a ~h =
+  let q = Modarith.q plan.md and sh = Modarith.shoup_shift in
+  let q2 = q * 2 in
+  for i = 0 to h - 1 do
+    let s = Array.unsafe_get plan.inv_psi_br (h + i) in
+    let s' = Array.unsafe_get plan.inv_psi_sh (h + i) in
+    gs ~fold ~q ~q2 ~sh a ~s ~s' (2 * i) 1
+  done
+
+(* One inverse stage with h blocks of length t. *)
+let inv_stage_seq plan (a : Limb_buf.t) ~h ~t =
+  match (plan.lazy4, t) with
+  | true, 1 -> gs_first ~fold:false plan a ~h
+  | false, 1 -> gs_first ~fold:true plan a ~h
+  | true, _ -> gs_stage ~fold:false plan a ~h ~t
+  | false, _ -> gs_stage ~fold:true plan a ~h ~t
 
 let inverse_seq_scaled plan (a : Limb_buf.t) ~ninv ~ninv_sh =
   let n = plan.n in
