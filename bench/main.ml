@@ -13,9 +13,9 @@
      sections: table1 table2 table3 fig6 fig11 fig12 fig13 fig14 fig15
                fig16 sec43 sec74 ablation characterize energy kernels
                nn   (default: all)
-     --jobs N        worker domains for the Table-2/Fig-11 sweep and the
-                     kernel microbench (0 = Domain.recommended_domain_count;
-                     1 = sequential; negative N exits 2)
+     --jobs N        worker domains for the Table-2/Fig-11 sweep
+                     (0 = Domain.recommended_domain_count; 1 = sequential;
+                     negative N exits 2)
      --quick         restrict the sweep to the Bootstrap benchmark,
                      shrink the kernel microbench to N=2^12, and
                      default the section list to "table2 kernels nn"
@@ -754,16 +754,6 @@ let kernels () =
   let qs = Prime_gen.gen_primes ~bits:28 ~n ~count:limbs () in
   let basis = Basis.of_primes qs in
   let rng = Cinnamon_util.Rng.create ~seed:7 in
-  (* Worker pool for the keyswitch engine's limb fan-out (--jobs N with
-     N > 1); the keyswitches are bit-identical with and without it.
-     Requests beyond the host's core count are clamped: oversubscribed
-     domains only add scheduling overhead to a throughput measurement.
-     The NTT and base conversion always run on one domain. *)
-  let eff_jobs = min !jobs (Exec.Pool.default_jobs ()) in
-  let pool = if eff_jobs > 1 then Some (Exec.Pool.create ~jobs:eff_jobs ()) else None in
-  if !jobs > eff_jobs then
-    Printf.printf "  (--jobs %d clamped to %d host cores)\n%!" !jobs eff_jobs;
-  if pool <> None then Printf.printf "  (limb-parallel keyswitch: %d jobs)\n%!" eff_jobs;
   (* single-limb NTT passes, into a reused scratch buffer *)
   let q = List.hd qs in
   let plan = Ntt.plan ~q ~n in
@@ -839,7 +829,7 @@ let kernels () =
     let sk = Keys.gen_secret_key params krng in
     let relin = Keys.gen_relin_key params sk krng in
     let c = Rns_poly.random ~n:nn ~basis:params.Params.q_basis ~domain:Rns_poly.Eval krng in
-    let k0f, k1f = Keyswitch_fused.keyswitch ?pool params relin c in
+    let k0f, k1f = Keyswitch_fused.keyswitch params relin c in
     let k0o, k1o = Cinnamon_oracle.Keyswitch.keyswitch params relin c in
     if not (Rns_poly.equal k0f k0o && Rns_poly.equal k1f k1o) then
       failwith "kernel microbench: fused keyswitch diverged from the sequential oracle";
@@ -859,7 +849,7 @@ let kernels () =
     in
     let ks_reps = if nn >= 65536 then 3 else 5 in
     let fused_us =
-      1e6 *. time_it ~reps:ks_reps (fun () -> Keyswitch_fused.keyswitch ?pool params relin c)
+      1e6 *. time_it ~reps:ks_reps (fun () -> Keyswitch_fused.keyswitch params relin c)
     in
     let oracle_us =
       1e6 *. time_it ~reps:ks_reps (fun () -> Cinnamon_oracle.Keyswitch.keyswitch params relin c)
@@ -917,7 +907,7 @@ let kernels () =
       ~c1:(Rns_poly.random ~n:hn ~basis:hparams.Params.q_basis ~domain:Rns_poly.Eval hrng)
       ~scale:hparams.Params.scale ~slots:hparams.Params.slots
   in
-  let hctx = Eval.context ?pool hparams hek in
+  let hctx = Eval.context hparams hek in
   let nrot = List.length rots in
   let hoisted_us =
     1e6 *. time_it ~reps:5 (fun () -> ignore (Eval.rotate_many hctx hct rots))
@@ -933,7 +923,6 @@ let kernels () =
     (plain_us /. hoisted_us);
   Printf.printf "  hoisted: %d rotations in %.0f us vs %.0f us unhoisted (%.2fx)\n%!" nrot
     hoisted_us plain_us (plain_us /. hoisted_us);
-  Option.iter Exec.Pool.shutdown pool;
   record "kernel_microbench" (Json.List (List.rev !entries))
 
 (* --------------------------------------------------------------- dispatch *)

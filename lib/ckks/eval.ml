@@ -8,14 +8,9 @@
 open Cinnamon_rns
 module C = Ciphertext
 
-type context = {
-  params : Params.t;
-  ek : Keys.eval_key;
-  pool : Cinnamon_pool.Pool.t option;
-      (* threaded into the fused keyswitch; None = sequential *)
-}
+type context = { params : Params.t; ek : Keys.eval_key }
 
-let context ?pool params ek = { params; ek; pool }
+let context params ek = { params; ek }
 
 type keyswitch = Rns_poly.t -> Rns_poly.t * Rns_poly.t
 
@@ -164,7 +159,7 @@ let mul_by_i a =
     ~scale:a.C.scale ~slots:a.C.slots
 
 (* The default keyswitch of every op: the fused engine under [swk]. *)
-let fused ctx swk = Keyswitch_fused.keyswitch ?pool:ctx.pool ctx.params swk
+let fused ctx swk = Keyswitch_fused.keyswitch ctx.params swk
 
 (* Ciphertext-ciphertext multiplication with relinearization and
    rescale (the paper's Fig. 5 left).  [keyswitch] relinearizes d2
@@ -234,7 +229,7 @@ let conjugate ?keyswitch ctx a =
    the compiler's batched input-broadcast keyswitching. *)
 
 let rotate_many ctx ct rots =
-  let dec = Keyswitch_fused.decompose ?pool:ctx.pool ctx.params ct.C.c1 in
+  let dec = Keyswitch_fused.decompose ctx.params ct.C.c1 in
   let n = ctx.params.Params.n in
   List.map
     (fun r ->
@@ -242,7 +237,7 @@ let rotate_many ctx ct rots =
       else begin
         let k = Keys.galois_of_rotation ~n r in
         let perm = Ntt.galois_perm ~n ~k in
-        (r, assemble ct ~k (Keyswitch_fused.apply ?pool:ctx.pool dec (rotation_key ctx r) ~perm ()))
+        (r, assemble ct ~k (Keyswitch_fused.apply dec (rotation_key ctx r) ~perm ()))
       end)
     rots
 
@@ -254,8 +249,8 @@ let rotate_many ctx ct rots =
    (within noise), not bitwise. *)
 let rotate_sum ctx ct rots =
   if rots = [] then invalid_arg "Eval.rotate_sum: empty rotation list";
-  let pool = ctx.pool and n = ctx.params.Params.n in
-  let dec = Keyswitch_fused.decompose ?pool ctx.params ct.C.c1 in
+  let n = ctx.params.Params.n in
+  let dec = Keyswitch_fused.decompose ctx.params ct.C.c1 in
   let target = Keyswitch_fused.target_basis dec in
   let acc0 = Rns_poly.create ~n ~basis:target ~domain:Rns_poly.Eval in
   let acc1 = Rns_poly.create ~n ~basis:target ~domain:Rns_poly.Eval in
@@ -271,10 +266,10 @@ let rotate_sum ctx ct rots =
       else begin
         let k = Keys.galois_of_rotation ~n r in
         let perm = Ntt.galois_perm ~n ~k in
-        Keyswitch_fused.accumulate ?pool dec (rotation_key ctx r) ~perm ~acc0 ~acc1 ();
+        Keyswitch_fused.accumulate dec (rotation_key ctx r) ~perm ~acc0 ~acc1 ();
         c0_sum := Rns_poly.add !c0_sum (Rns_poly.automorphism ct.C.c0 ~k)
       end)
     rots;
-  let k0, k1 = Keyswitch_fused.mod_down2 ?pool dec acc0 acc1 in
+  let k0, k1 = Keyswitch_fused.mod_down2 dec acc0 acc1 in
   C.make ~c0:(Rns_poly.add !c0_sum k0) ~c1:(Rns_poly.add !c1_sum k1) ~scale:ct.C.scale
     ~slots:ct.C.slots

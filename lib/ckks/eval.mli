@@ -3,16 +3,9 @@
 
 open Cinnamon_rns
 
-type context = {
-  params : Params.t;
-  ek : Keys.eval_key;
-  pool : Cinnamon_pool.Pool.t option;  (** threaded into the fused keyswitch *)
-}
+type context = { params : Params.t; ek : Keys.eval_key }
 
-(** With [pool], keyswitching inside [mul]/[rotate]/[conjugate] fans
-    out across output limbs (bit-identical for any job count).  Only
-    use the context from the domain that owns the pool. *)
-val context : ?pool:Cinnamon_pool.Pool.t -> Params.t -> Keys.eval_key -> context
+val context : Params.t -> Keys.eval_key -> context
 
 (** Level alignment plus a scale-compatibility check (small drift is
     tolerated; bit-exact sums use {!adjust_scale}). *)

@@ -52,15 +52,9 @@
    plan memo holds one plan per (level, layout).  Output aggregation
    sums one keyswitch per share; keyswitch_shares computes that sum
    with ONE mod-down, since only the mod-down's stage-1 scaling is
-   non-linear and runs per share.
-
-   Parallelism: phases fan out across limbs (never within one limb)
-   with disjoint write ranges, so each item's scalar sequence is
-   independent of scheduling and results are bit-identical for any
-   --jobs count. *)
+   non-linear and runs per share. *)
 
 open Cinnamon_rns
-module Pool = Cinnamon_pool.Pool
 module Tel = Cinnamon_telemetry.Telemetry
 
 type digit = { limbs : int list; key : int }
@@ -180,16 +174,6 @@ let plan_for params ~q_l layout =
       build_plan params ~q_l
         (Option.value layout ~default:(standard_layout params ~limbs:tq)))
 
-(* Fan [count] independent items across the pool (or run them inline).
-   Items only ever write disjoint limb ranges. *)
-let run_items pool count f =
-  match pool with
-  | Some pl when Pool.jobs pl > 1 && count > 1 -> Pool.iter pl f (List.init count Fun.id)
-  | _ ->
-      for i = 0 to count - 1 do
-        f i
-      done
-
 (* Lazy dual MAC of one output limb across all digits, tiled so the
    accumulator tile stays cache-resident for the whole digit loop.
    Accumulators hold canonical values on entry (zero or a previous
@@ -224,11 +208,12 @@ let mac_limb ~q ~perm ~(ext : Limb_buf.t array) ~(kb : Limb_buf.t array)
 (* Phase 1: INTT every digit limb of [c] into [scaled] (indexed by Q_l
    limb), folding the owning digit's q̂^-1 factor into the transform
    epilogue.  Returns each digit's scaled limbs in digit order. *)
-let decompose_scaled pool pl c ~(scaled : Limb_buf.t array) =
-  run_items pool (Array.length pl.pl_decomp) (fun i ->
-      let j, scale = pl.pl_decomp.(i) in
-      Ntt.inverse_scaled_into pl.pl_ntt.(j) ~scale ~src:(Rns_poly.unsafe_limb_view c j)
-        ~dst:scaled.(j));
+let decompose_scaled pl c ~(scaled : Limb_buf.t array) =
+  for i = 0 to Array.length pl.pl_decomp - 1 do
+    let j, scale = pl.pl_decomp.(i) in
+    Ntt.inverse_scaled_into pl.pl_ntt.(j) ~scale ~src:(Rns_poly.unsafe_limb_view c j)
+      ~dst:scaled.(j)
+  done;
   Array.map (fun dp -> Array.map (fun j -> scaled.(j)) dp.d_limbs) pl.pl_digits
 
 let key_views pl (part : Rns_poly.t array) k =
@@ -245,53 +230,55 @@ let key_views_a pl (swk : Keys.switch_key) k = key_views pl swk.Keys.swk_a k
    non-linear step of the mod-down, so each share of an output
    aggregation runs it on its own accumulators and only the integer
    sums go on to stage 2. *)
-let mod_down_scale pool pl acc0 acc1 ~(sums : Limb_buf.t array) ~first =
+let mod_down_scale pl acc0 acc1 ~(sums : Limb_buf.t array) ~first =
   let n = pl.pl_n and tq = pl.pl_tq and alpha = pl.pl_alpha in
-  run_items pool (2 * alpha) (fun i ->
-      let acc = if i < alpha then acc0 else acc1 in
-      let j = i mod alpha in
-      let k = tq + j in
-      let src = Rns_poly.unsafe_limb_view acc k in
-      let scale = pl.pl_down_scale.(j) in
-      if first then Ntt.inverse_scaled_into pl.pl_ntt.(k) ~scale ~src ~dst:sums.(i)
-      else
-        Scratch.with_buf ~n (fun y ->
-            Ntt.inverse_scaled_into pl.pl_ntt.(k) ~scale ~src ~dst:y;
-            let sum = sums.(i) in
-            for x = 0 to n - 1 do
-              Bigarray.Array1.unsafe_set sum x
-                (Int64.add (Bigarray.Array1.unsafe_get sum x) (Bigarray.Array1.unsafe_get y x))
-            done))
+  for i = 0 to (2 * alpha) - 1 do
+    let acc = if i < alpha then acc0 else acc1 in
+    let j = i mod alpha in
+    let k = tq + j in
+    let src = Rns_poly.unsafe_limb_view acc k in
+    let scale = pl.pl_down_scale.(j) in
+    if first then Ntt.inverse_scaled_into pl.pl_ntt.(k) ~scale ~src ~dst:sums.(i)
+    else
+      Scratch.with_buf ~n (fun y ->
+          Ntt.inverse_scaled_into pl.pl_ntt.(k) ~scale ~src ~dst:y;
+          let sum = sums.(i) in
+          for x = 0 to n - 1 do
+            Bigarray.Array1.unsafe_set sum x
+              (Int64.add (Bigarray.Array1.unsafe_get sum x) (Bigarray.Array1.unsafe_get y x))
+          done)
+  done
 
 (* Phase 3, stage 2: per Q_l limb, one conversion column from the
    stage-1 values (sums of [shares] canonical residues), one NTT, and
    the fused (acc - conv)·P^-1 Shoup pass — all exact linear maps mod
    q_k.  Eval in, Eval out. *)
-let mod_down_columns pool pl ~shares acc0 acc1 ~(sums : Limb_buf.t array) =
+let mod_down_columns pl ~shares acc0 acc1 ~(sums : Limb_buf.t array) =
   let n = pl.pl_n and tq = pl.pl_tq and alpha = pl.pl_alpha in
   let out0 = Rns_poly.create ~n ~basis:pl.pl_q ~domain:Rns_poly.Eval in
   let out1 = Rns_poly.create ~n ~basis:pl.pl_q ~domain:Rns_poly.Eval in
   let sc0 = Array.sub sums 0 alpha and sc1 = Array.sub sums alpha alpha in
-  run_items pool (2 * tq) (fun i ->
-      let k = i mod tq in
-      let acc, scl, out = if i < tq then (acc0, sc0, out0) else (acc1, sc1, out1) in
-      let md = Basis.modulus pl.pl_q k in
-      Scratch.with_buf ~n (fun col ->
-          Base_conv.accumulate_column_into ~shares pl.pl_down_tbl ~scaled:scl ~dst:col ~k;
-          Ntt.forward_into pl.pl_ntt.(k) ~src:col ~dst:col;
-          Fused_mac.sub_mul_shoup_range ~q:(Modarith.q md) ~w:pl.pl_p_inv.(k)
-            ~w_sh:pl.pl_p_inv_sh.(k)
-            ~x:(Rns_poly.unsafe_limb_view acc k)
-            ~y:col
-            ~dst:(Rns_poly.unsafe_limb_view out k)
-            ~lo:0 ~hi:n));
+  for i = 0 to (2 * tq) - 1 do
+    let k = i mod tq in
+    let acc, scl, out = if i < tq then (acc0, sc0, out0) else (acc1, sc1, out1) in
+    let md = Basis.modulus pl.pl_q k in
+    Scratch.with_buf ~n (fun col ->
+        Base_conv.accumulate_column_into ~shares pl.pl_down_tbl ~scaled:scl ~dst:col ~k;
+        Ntt.forward_into pl.pl_ntt.(k) ~src:col ~dst:col;
+        Fused_mac.sub_mul_shoup_range ~q:(Modarith.q md) ~w:pl.pl_p_inv.(k)
+          ~w_sh:pl.pl_p_inv_sh.(k)
+          ~x:(Rns_poly.unsafe_limb_view acc k)
+          ~y:col
+          ~dst:(Rns_poly.unsafe_limb_view out k)
+          ~lo:0 ~hi:n)
+  done;
   (out0, out1)
 
 (* Phase 3: fused mod-down of both accumulators (Eval in, Eval out). *)
-let mod_down2_plan pool pl acc0 acc1 =
+let mod_down2_plan pl acc0 acc1 =
   Scratch.with_bufs ~n:pl.pl_n ~count:(2 * pl.pl_alpha) (fun sums ->
-      mod_down_scale pool pl acc0 acc1 ~sums ~first:true;
-      mod_down_columns pool pl ~shares:1 acc0 acc1 ~sums)
+      mod_down_scale pl acc0 acc1 ~sums ~first:true;
+      mod_down_columns pl ~shares:1 acc0 acc1 ~sums)
 
 let check_input name pl c =
   if Rns_poly.domain c <> Rns_poly.Eval then invalid_arg (name ^ ": Eval-domain input required");
@@ -300,49 +287,48 @@ let check_input name pl c =
 (* Phases 1 and 2 of one plan: decompose [c], then per output limb of
    Q_l ∪ P extend every digit and MAC it into [acc0]/[acc1] against
    its key pair.  Canonical in, canonical out, so calls chain. *)
-let extend_mac pool pl (swk : Keys.switch_key) c ~acc0 ~acc1 =
+let extend_mac pl (swk : Keys.switch_key) c ~acc0 ~acc1 =
   let n = pl.pl_n in
   Scratch.with_bufs ~n ~count:pl.pl_tq (fun scaled ->
       let digit_scaled =
         Tel.Span.with_ ~cat:"ks_fused" "ks_fused.decompose" (fun () ->
-            decompose_scaled pool pl c ~scaled)
+            decompose_scaled pl c ~scaled)
       in
       Tel.Span.with_ ~cat:"ks_fused" "ks_fused.extend_mac" (fun () ->
-          run_items pool pl.pl_t (fun k ->
-              let ndig = Array.length pl.pl_digits in
-              let q = Basis.value pl.pl_target k in
-              Scratch.with_bufs ~n ~count:ndig (fun cols ->
-                  let ext = Array.make ndig cols.(0) in
-                  for d = 0 to ndig - 1 do
-                    let dp = pl.pl_digits.(d) in
-                    let col = dp.d_col.(k) in
-                    if col < 0 then ext.(d) <- Rns_poly.unsafe_limb_view c k
-                    else begin
-                      Base_conv.accumulate_column_into dp.d_tbl ~scaled:digit_scaled.(d)
-                        ~dst:cols.(d) ~k:col;
-                      Ntt.forward_into pl.pl_ntt.(k) ~src:cols.(d) ~dst:cols.(d);
-                      ext.(d) <- cols.(d)
-                    end
-                  done;
-                  mac_limb ~q ~perm:None ~ext ~kb:(key_views_b pl swk k)
-                    ~ka:(key_views_a pl swk k)
-                    ~acc0:(Rns_poly.unsafe_limb_view acc0 k)
-                    ~acc1:(Rns_poly.unsafe_limb_view acc1 k)
-                    ~n))))
+          for k = 0 to pl.pl_t - 1 do
+            let ndig = Array.length pl.pl_digits in
+            let q = Basis.value pl.pl_target k in
+            Scratch.with_bufs ~n ~count:ndig (fun cols ->
+                let ext = Array.make ndig cols.(0) in
+                for d = 0 to ndig - 1 do
+                  let dp = pl.pl_digits.(d) in
+                  let col = dp.d_col.(k) in
+                  if col < 0 then ext.(d) <- Rns_poly.unsafe_limb_view c k
+                  else begin
+                    Base_conv.accumulate_column_into dp.d_tbl ~scaled:digit_scaled.(d)
+                      ~dst:cols.(d) ~k:col;
+                    Ntt.forward_into pl.pl_ntt.(k) ~src:cols.(d) ~dst:cols.(d);
+                    ext.(d) <- cols.(d)
+                  end
+                done;
+                mac_limb ~q ~perm:None ~ext ~kb:(key_views_b pl swk k)
+                  ~ka:(key_views_a pl swk k)
+                  ~acc0:(Rns_poly.unsafe_limb_view acc0 k)
+                  ~acc1:(Rns_poly.unsafe_limb_view acc1 k)
+                  ~n)
+          done))
 
 (* The fused keyswitch over the standard digit layout: bitwise equal
-   to the whole-polynomial reference for every level prefix and job
-   count. *)
-let keyswitch ?pool params swk c =
+   to the whole-polynomial reference for every level prefix. *)
+let keyswitch params swk c =
   let pl = plan_for params ~q_l:(Rns_poly.basis c) None in
   check_input "Keyswitch_fused.keyswitch" pl c;
   let n = pl.pl_n in
   Tel.Span.with_ ~cat:"ks_fused" "ks_fused.keyswitch" (fun () ->
       let acc0 = Rns_poly.create ~n ~basis:pl.pl_target ~domain:Rns_poly.Eval in
       let acc1 = Rns_poly.create ~n ~basis:pl.pl_target ~domain:Rns_poly.Eval in
-      extend_mac pool pl swk c ~acc0 ~acc1;
-      Tel.Span.with_ ~cat:"ks_fused" "ks_fused.mod_down" (fun () ->
-          mod_down2_plan pool pl acc0 acc1))
+      extend_mac pl swk c ~acc0 ~acc1;
+      Tel.Span.with_ ~cat:"ks_fused" "ks_fused.mod_down" (fun () -> mod_down2_plan pl acc0 acc1))
 
 (* Σ over digits of each digit's own mod-downed keyswitch (output
    aggregation's chip shares), with one mod-down for the whole sum.
@@ -354,7 +340,7 @@ let keyswitch ?pool params swk c =
    therefore share one MAC accumulator across shares; only the alpha
    P-limbs restart per share.  Canonical values mod q_k throughout, so
    the result is bitwise the sum of the per-share keyswitches. *)
-let keyswitch_shares ?pool params digits (swk : Keys.switch_key) c =
+let keyswitch_shares params digits (swk : Keys.switch_key) c =
   let q_l = Rns_poly.basis c in
   let plans = List.map (fun d -> plan_for params ~q_l (Some [ d ])) digits in
   let pl0 =
@@ -375,12 +361,12 @@ let keyswitch_shares ?pool params digits (swk : Keys.switch_key) c =
                   Limb_buf.fill (Rns_poly.unsafe_limb_view acc0 (tq + j)) 0;
                   Limb_buf.fill (Rns_poly.unsafe_limb_view acc1 (tq + j)) 0
                 done;
-              extend_mac pool pl swk c ~acc0 ~acc1;
+              extend_mac pl swk c ~acc0 ~acc1;
               Tel.Span.with_ ~cat:"ks_fused" "ks_fused.mod_down" (fun () ->
-                  mod_down_scale pool pl acc0 acc1 ~sums ~first:(s = 0)))
+                  mod_down_scale pl acc0 acc1 ~sums ~first:(s = 0)))
             plans;
           Tel.Span.with_ ~cat:"ks_fused" "ks_fused.mod_down" (fun () ->
-              mod_down_columns pool pl0 ~shares:(List.length plans) acc0 acc1 ~sums)))
+              mod_down_columns pl0 ~shares:(List.length plans) acc0 acc1 ~sums)))
 
 (* --- shared decomposition (hoisting support) -------------------------- *)
 
@@ -394,7 +380,7 @@ type decomposition = {
   dec_ext : Rns_poly.t array; (* per digit, over Q_l ∪ P, Eval *)
 }
 
-let decompose ?pool params c1 =
+let decompose params c1 =
   let q_l = Rns_poly.basis c1 in
   let pl = plan_for params ~q_l None in
   check_input "Keyswitch_fused.decompose" pl c1;
@@ -405,17 +391,18 @@ let decompose ?pool params c1 =
         Array.init ndig (fun _ -> Rns_poly.create ~n ~basis:pl.pl_target ~domain:Rns_poly.Eval)
       in
       Scratch.with_bufs ~n ~count:pl.pl_tq (fun scaled ->
-          let digit_scaled = decompose_scaled pool pl c1 ~scaled in
-          run_items pool (ndig * pl.pl_t) (fun i ->
-              let d = i / pl.pl_t and k = i mod pl.pl_t in
-              let dp = pl.pl_digits.(d) in
-              let dst = Rns_poly.unsafe_limb_view ext.(d) k in
-              let col = dp.d_col.(k) in
-              if col < 0 then Limb_buf.blit ~src:(Rns_poly.unsafe_limb_view c1 k) ~dst
-              else begin
-                Base_conv.accumulate_column_into dp.d_tbl ~scaled:digit_scaled.(d) ~dst ~k:col;
-                Ntt.forward_into pl.pl_ntt.(k) ~src:dst ~dst
-              end));
+          let digit_scaled = decompose_scaled pl c1 ~scaled in
+          for i = 0 to (ndig * pl.pl_t) - 1 do
+            let d = i / pl.pl_t and k = i mod pl.pl_t in
+            let dp = pl.pl_digits.(d) in
+            let dst = Rns_poly.unsafe_limb_view ext.(d) k in
+            let col = dp.d_col.(k) in
+            if col < 0 then Limb_buf.blit ~src:(Rns_poly.unsafe_limb_view c1 k) ~dst
+            else begin
+              Base_conv.accumulate_column_into dp.d_tbl ~scaled:digit_scaled.(d) ~dst ~k:col;
+              Ntt.forward_into pl.pl_ntt.(k) ~src:dst ~dst
+            end
+          done);
       { dec_plan = pl; dec_ext = ext })
 
 let target_basis dec = dec.dec_plan.pl_target
@@ -429,31 +416,32 @@ let check_acc name pl acc =
    hoisted automorphism), accumulated lazily into caller-owned
    Eval-domain accumulators over Q_l ∪ P.  Canonical in, canonical
    out, so calls chain across rotations (rotate-and-sum). *)
-let accumulate ?pool dec (swk : Keys.switch_key) ?perm ~acc0 ~acc1 () =
+let accumulate dec (swk : Keys.switch_key) ?perm ~acc0 ~acc1 () =
   let pl = dec.dec_plan in
   check_acc "Keyswitch_fused.accumulate" pl acc0;
   check_acc "Keyswitch_fused.accumulate" pl acc1;
   let perm = Option.map Ntt.perm_array perm in
   Tel.Span.with_ ~cat:"ks_fused" "ks_fused.hoisted_mac" (fun () ->
-      run_items pool pl.pl_t (fun k ->
-          let q = Basis.value pl.pl_target k in
-          let ext = Array.map (fun e -> Rns_poly.unsafe_limb_view e k) dec.dec_ext in
-          mac_limb ~q ~perm ~ext ~kb:(key_views_b pl swk k) ~ka:(key_views_a pl swk k)
-            ~acc0:(Rns_poly.unsafe_limb_view acc0 k)
-            ~acc1:(Rns_poly.unsafe_limb_view acc1 k)
-            ~n:pl.pl_n))
+      for k = 0 to pl.pl_t - 1 do
+        let q = Basis.value pl.pl_target k in
+        let ext = Array.map (fun e -> Rns_poly.unsafe_limb_view e k) dec.dec_ext in
+        mac_limb ~q ~perm ~ext ~kb:(key_views_b pl swk k) ~ka:(key_views_a pl swk k)
+          ~acc0:(Rns_poly.unsafe_limb_view acc0 k)
+          ~acc1:(Rns_poly.unsafe_limb_view acc1 k)
+          ~n:pl.pl_n
+      done)
 
-let mod_down2 ?pool dec acc0 acc1 =
+let mod_down2 dec acc0 acc1 =
   let pl = dec.dec_plan in
   check_acc "Keyswitch_fused.mod_down2" pl acc0;
   check_acc "Keyswitch_fused.mod_down2" pl acc1;
-  Tel.Span.with_ ~cat:"ks_fused" "ks_fused.mod_down" (fun () -> mod_down2_plan pool pl acc0 acc1)
+  Tel.Span.with_ ~cat:"ks_fused" "ks_fused.mod_down" (fun () -> mod_down2_plan pl acc0 acc1)
 
 (* One full keyswitch from a shared decomposition. *)
-let apply ?pool dec swk ?perm () =
+let apply dec swk ?perm () =
   let pl = dec.dec_plan in
   let n = pl.pl_n in
   let acc0 = Rns_poly.create ~n ~basis:pl.pl_target ~domain:Rns_poly.Eval in
   let acc1 = Rns_poly.create ~n ~basis:pl.pl_target ~domain:Rns_poly.Eval in
-  accumulate ?pool dec swk ?perm ~acc0 ~acc1 ();
-  mod_down2 ?pool dec acc0 acc1
+  accumulate dec swk ?perm ~acc0 ~acc1 ();
+  mod_down2 dec acc0 acc1

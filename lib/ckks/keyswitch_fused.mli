@@ -2,7 +2,7 @@
 
     Bitwise equal to the textbook whole-polynomial keyswitch (the
     oracle in the test-only library under [test/oracle]) for every
-    level, digit layout, and [--jobs] count, but streams the
+    level and digit layout, but streams the
     digit-INTT → base-extension → NTT → key multiply-accumulate
     dataflow through cache-sized scratch tiles: base conversion's
     stage-1 scaling rides the INTT epilogue, digit-resident limbs skip
@@ -15,15 +15,8 @@
 open Cinnamon_rns
 
 (** [keyswitch params swk c]: [c] over a prefix of Q, Eval domain;
-    returns (k0, k1) over the same basis.  With [pool], work fans out
-    across output limbs in disjoint ranges — bit-identical results for
-    any job count. *)
-val keyswitch :
-  ?pool:Cinnamon_pool.Pool.t ->
-  Params.t ->
-  Keys.switch_key ->
-  Rns_poly.t ->
-  Rns_poly.t * Rns_poly.t
+    returns (k0, k1) over the same basis. *)
+val keyswitch : Params.t -> Keys.switch_key -> Rns_poly.t -> Rns_poly.t * Rns_poly.t
 
 (** One digit of a keyswitch decomposition: ascending limb indices of
     Q_l and the index of the switch-key pair ([swk_b] / [swk_a]) it
@@ -40,7 +33,6 @@ type digit = { limbs : int list; key : int }
     an empty list, an empty digit, or limbs that are unsorted, repeated
     or outside Q_l. *)
 val keyswitch_shares :
-  ?pool:Cinnamon_pool.Pool.t ->
   Params.t ->
   digit list ->
   Keys.switch_key ->
@@ -58,7 +50,7 @@ type decomposition
 (** Decompose and extend [c1] (Eval, over a prefix of Q) once, over
     the standard digit layout.  The extended digits are bitwise the
     oracle's mod-up of each digit. *)
-val decompose : ?pool:Cinnamon_pool.Pool.t -> Params.t -> Rns_poly.t -> decomposition
+val decompose : Params.t -> Rns_poly.t -> decomposition
 
 (** The extension basis Q_l ∪ P accumulators must live on. *)
 val target_basis : decomposition -> Basis.t
@@ -70,7 +62,6 @@ val target_basis : decomposition -> Basis.t
     chain across rotations for accumulate-then-single-mod-down
     rotate-and-sum. *)
 val accumulate :
-  ?pool:Cinnamon_pool.Pool.t ->
   decomposition ->
   Keys.switch_key ->
   ?perm:Ntt.perm ->
@@ -82,19 +73,8 @@ val accumulate :
 (** Fused mod-down of both accumulators by P: Eval over Q_l ∪ P in,
     Eval over Q_l out — bitwise the oracle's whole-polynomial mod-down
     on each. *)
-val mod_down2 :
-  ?pool:Cinnamon_pool.Pool.t ->
-  decomposition ->
-  Rns_poly.t ->
-  Rns_poly.t ->
-  Rns_poly.t * Rns_poly.t
+val mod_down2 : decomposition -> Rns_poly.t -> Rns_poly.t -> Rns_poly.t * Rns_poly.t
 
 (** One full keyswitch from the shared decomposition:
     {!accumulate} into fresh accumulators, then {!mod_down2}. *)
-val apply :
-  ?pool:Cinnamon_pool.Pool.t ->
-  decomposition ->
-  Keys.switch_key ->
-  ?perm:Ntt.perm ->
-  unit ->
-  Rns_poly.t * Rns_poly.t
+val apply : decomposition -> Keys.switch_key -> ?perm:Ntt.perm -> unit -> Rns_poly.t * Rns_poly.t

@@ -174,10 +174,10 @@ let test_output_aggregation_share_exceeds_alpha () =
        than alpha = 3"
       (Cinnamon_util.Error.to_string e)
 
-(* The shared mod-down under a pool: output aggregation's one
-   keyswitch_shares call is bitwise the per-chip reference without a
-   pool and at jobs 1 and 2, at the top level and a truncated one. *)
-let test_output_aggregation_pool_deterministic () =
+(* The shared mod-down: output aggregation's one keyswitch_shares call
+   is bitwise the per-chip reference, at the top level and a truncated
+   one. *)
+let test_output_aggregation_matches_reference () =
   let params, _, _, rr4, _ = Lazy.force env in
   List.iter
     (fun level ->
@@ -190,20 +190,9 @@ let test_output_aggregation_pool_deterministic () =
       in
       let reference = Oracle.Keyswitch_alg_ref.output_aggregation params rr4 c ~chips:4 in
       Alcotest.(check bool)
-        (Printf.sprintf "level %d: no pool = reference" level)
+        (Printf.sprintf "level %d: keyswitch_shares = reference" level)
         true
-        (pair_equal (Keyswitch_fused.keyswitch_shares params shares rr4 c) reference);
-      List.iter
-        (fun jobs ->
-          let p = Cinnamon_pool.Pool.create ~jobs () in
-          Fun.protect
-            ~finally:(fun () -> Cinnamon_pool.Pool.shutdown p)
-            (fun () ->
-              let par = Keyswitch_fused.keyswitch_shares ~pool:p params shares rr4 c in
-              Alcotest.(check bool)
-                (Printf.sprintf "level %d: jobs=%d = reference" level jobs)
-                true (pair_equal par reference)))
-        [ 1; 2 ])
+        (pair_equal (Keyswitch_fused.keyswitch_shares params shares rr4 c) reference))
     [ params.Params.levels; 5 ]
 
 (* --- CiFHER --------------------------------------------------------------- *)
@@ -311,8 +300,7 @@ let suite =
       Alcotest.test_case "output-agg 3 chips" `Quick test_output_aggregation_odd_chips;
       Alcotest.test_case "output-agg share > alpha" `Quick
         test_output_aggregation_share_exceeds_alpha;
-      Alcotest.test_case "output-agg pool deterministic" `Quick
-        test_output_aggregation_pool_deterministic;
+      Alcotest.test_case "output-agg = reference" `Quick test_output_aggregation_matches_reference;
       Alcotest.test_case "cifher exact + comm" `Quick test_cifher_exact_and_3_broadcasts;
       Alcotest.test_case "dispatcher key check" `Quick test_dispatcher_rejects_mismatch;
       Alcotest.test_case "dispatcher chip-count check" `Quick test_dispatcher_rejects_chip_counts;
