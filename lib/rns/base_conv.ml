@@ -95,7 +95,7 @@ let table ~src ~dst =
    an arena buffer. *)
 let scale_limb tbl x ~j ~(buf : Limb_buf.t) =
   let n = Rns_poly.n x in
-  let q, mu, shift = Modarith.barrett (Basis.modulus tbl.src j) in
+  let { Modarith.q; mu; shift } = Basis.modulus tbl.src j in
   let sh1 = (shift / 2) - 1 and sh2 = (shift / 2) + 1 in
   let s = tbl.qhat_inv.(j) in
   let src_limb = Rns_poly.unsafe_limb_view x j in

@@ -33,12 +33,6 @@ let modulus q =
 
 let q m = m.q
 
-(* Raw Barrett constants (q, mu, shift) for callers that inline the
-   reduction into hot loops — OCaml does not inline across module
-   boundaries without flambda, so the NTT butterflies and the RNS limb
-   loops fetch these once per limb and reduce locally. *)
-let barrett m = (m.q, m.mu, m.shift)
-
 let[@inline] reduce m x =
   (* x in [0, 2^(2k)) roughly; one Barrett step plus correction. *)
   let t = x - (((x lsr (m.shift / 2 - 1)) * m.mu) lsr (m.shift / 2 + 1)) * m.q in

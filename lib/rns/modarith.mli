@@ -4,7 +4,13 @@
     datapath), so residue products fit in OCaml's native 63-bit int and
     no big-integer arithmetic is ever needed on the hot path. *)
 
-type modulus
+(** A modulus with its Barrett constants: [mu = floor(2{^shift} / q)]
+    and [shift = 2·bits(q)].  Hot loops read the fields and inline the
+    reduction
+    [x - ((x lsr (shift/2 - 1)) * mu lsr (shift/2 + 1)) * q], followed
+    by at most two conditional subtractions of [q], which reduces any
+    [x < q²]. *)
+type modulus = private { q : int; shift : int; mu : int }
 
 (** Largest supported modulus width in bits. *)
 val max_modulus_bits : int
@@ -18,14 +24,6 @@ val q : modulus -> int
 
 (** Barrett-reduce a value in [0, q²). *)
 val reduce : modulus -> int -> int
-
-(** Raw Barrett constants [(q, mu, shift)] with
-    [mu = floor(2{^shift} / q)] and [shift = 2·bits(q)], for callers
-    that inline the reduction into hot loops:
-    [x - ((x lsr (shift/2 - 1)) * mu lsr (shift/2 + 1)) * q] followed
-    by at most two conditional subtractions of [q] reduces any
-    [x < q²]. *)
-val barrett : modulus -> int * int * int
 
 (** Shift used by {!shoup} constants (31). *)
 val shoup_shift : int

@@ -37,7 +37,7 @@ let[@inline always] csub x q =
   r + (q land (r asr 62))
 
 (* Barrett reduction (Modarith.reduce) of a product of two residues,
-   with the constants of Modarith.barrett: the mu step lands in
+   with the constants of a Modarith.modulus: the mu step lands in
    [0, 3q), two conditional subtracts make it canonical. *)
 let[@inline always] barrett ~q ~mu ~sh1 ~sh2 x =
   csub (csub (x - ((((x lsr sh1) * mu) lsr sh2) * q)) q) q
@@ -137,7 +137,7 @@ let mul_into ~dst a b =
   check_dst "Rns_poly.mul_into" dst a;
   let n = a.n in
   for i = 0 to level a - 1 do
-    let q, mu, shift = Modarith.barrett (Basis.modulus a.basis i) in
+    let { Modarith.q; mu; shift } = Basis.modulus a.basis i in
     let sh1 = (shift / 2) - 1 and sh2 = (shift / 2) + 1 in
     let la = a.limbs.(i) and lb = b.limbs.(i) and ld = dst.limbs.(i) in
     let j = ref 0 in
@@ -190,7 +190,7 @@ let scalar_mul_per_limb_into ~dst a s =
   let n = a.n in
   for i = 0 to level a - 1 do
     let md = Basis.modulus a.basis i in
-    let q, mu, shift = Modarith.barrett md in
+    let { Modarith.q; mu; shift } = md in
     let sh1 = (shift / 2) - 1 and sh2 = (shift / 2) + 1 in
     let si = Modarith.of_int md (s i) in
     let la = a.limbs.(i) and ld = dst.limbs.(i) in
