@@ -44,7 +44,6 @@ let instr (ins : L.instr) regs k : I.instr =
     match kind with
     | L.Broadcast -> I.Net_bcast { group; limbs; coll_id = id; sends; recvs }
     | L.Aggregate_scatter -> I.Net_agg { group; limbs; coll_id = id; sends; recvs })
-  | L.Sync id -> I.Barrier id
 
 let translate_chip ~num_regs (cp : L.chip_program) : I.program * Regalloc.stats =
   let out = ref [] and len = ref 0 in
@@ -53,7 +52,7 @@ let translate_chip ~num_regs (cp : L.chip_program) : I.program * Regalloc.stats 
     incr len
   in
   let alloc = Regalloc.allocate ~num_regs ~emit cp in
-  let instrs = Array.make !len (I.Barrier 0) in
+  let instrs = match !out with [] -> [||] | last :: _ -> Array.make !len last in
   List.iteri (fun j ins -> instrs.(!len - 1 - j) <- ins) !out;
   ({ I.chip = cp.L.chip; instrs; n_regs = alloc.Regalloc.n_regs }, alloc.Regalloc.stats)
 

@@ -34,19 +34,6 @@ type assignment = {
   stats : stats;
 }
 
-(* Call [read] on every value an instruction reads, then [write] on
-   every value it defines, in operand order. *)
-let iter_operands ~read ~write = function
-  | L.Compute c ->
-    List.iter read c.L.srcs;
-    write c.L.dst
-  | L.Load v -> write v
-  | L.Store v -> read v
-  | L.Collective { sends; recvs; _ } ->
-    List.iter read sends;
-    List.iter write recvs
-  | L.Sync _ -> ()
-
 module Vreg_tbl = Hashtbl.Make (struct
   type t = int
 
@@ -59,12 +46,9 @@ let allocate ~num_regs ~emit (cp : L.chip_program) : assignment =
   (* Operand slots: instruction [i] owns slots [first.(i)] to
      [first.(i + 1) - 1], its reads first. *)
   let first = Array.make (n + 1) 0 in
+  let count k _ = k + 1 in
   List.iteri
-    (fun i ins ->
-      let c = ref 0 in
-      let count _ = incr c in
-      iter_operands ins ~read:count ~write:count;
-      first.(i + 1) <- first.(i) + !c)
+    (fun i ins -> first.(i + 1) <- L.fold_writes count (L.fold_reads count first.(i) ins) ins)
     cp.L.instrs;
   (* Dense chip-local ids: [ops.(k)] is 2 * the local id of slot [k]'s
      value, plus 1 if the slot defines it; [glob] maps a local id back
@@ -73,7 +57,7 @@ let allocate ~num_regs ~emit (cp : L.chip_program) : assignment =
   let ops = Array.make first.(n) 0 in
   let local = Vreg_tbl.create (max 16 n) in
   let glob = ref [||] and n_vals = ref 0 and k = ref 0 in
-  let visit def v =
+  let visit def () v =
     let id =
       match Vreg_tbl.find_opt local v with
       | Some id -> id
@@ -88,7 +72,8 @@ let allocate ~num_regs ~emit (cp : L.chip_program) : assignment =
     ops.(!k) <- (2 * id) + def;
     incr k
   in
-  List.iter (iter_operands ~read:(visit 0) ~write:(visit 1)) cp.L.instrs;
+  let on_read = visit 0 and on_write = visit 1 in
+  List.iter (fun ins -> L.fold_writes on_write (L.fold_reads on_read () ins) ins) cp.L.instrs;
   let glob = !glob and n_vals = !n_vals in
   (* [next.(k)]: the first instruction after slot [k]'s that reads its
      value, or [max_int]. *)

@@ -330,18 +330,6 @@ let verify_poly (cfg : Compile_config.t) (p : Poly_ir.t) : violation list =
 
 (* --- limb stage --------------------------------------------------------- *)
 
-let limb_reads = function
-  | Limb_ir.Compute c -> c.Limb_ir.srcs
-  | Limb_ir.Store v -> [ v ]
-  | Limb_ir.Collective { sends; _ } -> sends
-  | Limb_ir.Load _ | Limb_ir.Sync _ -> []
-
-let limb_defs = function
-  | Limb_ir.Compute c -> [ c.Limb_ir.dst ]
-  | Limb_ir.Load v -> [ v ]
-  | Limb_ir.Collective { recvs; _ } -> recvs
-  | Limb_ir.Store _ | Limb_ir.Sync _ -> []
-
 type coll_sig = {
   cs_kind : Limb_ir.collective_kind;
   cs_group : int list;
@@ -362,8 +350,8 @@ let verify_limb (cfg : Compile_config.t) (poly : Poly_ir.t) (limb : Limb_ir.t) :
     (fun (cp : Limb_ir.chip_program) ->
       List.iteri
         (fun pos instr ->
-          List.iter
-            (fun v ->
+          Limb_ir.fold_writes
+            (fun () v ->
               if v < 0 || v >= n_vregs then
                 flag ~chip:cp.Limb_ir.chip "limb-chip-ownership" pos
                   (Printf.sprintf "defined vreg %d out of range [0, %d)" v n_vregs)
@@ -378,7 +366,7 @@ let verify_limb (cfg : Compile_config.t) (poly : Poly_ir.t) (limb : Limb_ir.t) :
               else
                 flag ~chip:cp.Limb_ir.chip "limb-chip-ownership" pos
                   (Printf.sprintf "vreg %d defined twice on chip %d" v cp.Limb_ir.chip))
-            (limb_defs instr))
+            () instr)
         cp.Limb_ir.instrs)
     limb.Limb_ir.chips;
   (* reads: a vreg never defined anywhere is HBM-resident (evalkey /
@@ -401,8 +389,8 @@ let verify_limb (cfg : Compile_config.t) (poly : Poly_ir.t) (limb : Limb_ir.t) :
     (fun (cp : Limb_ir.chip_program) ->
       List.iteri
         (fun pos instr ->
-          List.iter
-            (fun v ->
+          Limb_ir.fold_reads
+            (fun () v ->
               if v < 0 || v >= n_vregs then
                 flag ~chip:cp.Limb_ir.chip "limb-chip-ownership" pos
                   (Printf.sprintf "read vreg %d out of range [0, %d)" v n_vregs)
@@ -417,7 +405,7 @@ let verify_limb (cfg : Compile_config.t) (poly : Poly_ir.t) (limb : Limb_ir.t) :
                   flag ~chip:cp.Limb_ir.chip "limb-use-before-def" pos
                     (Printf.sprintf "vreg %d read at %d but defined at %d" v pos def_pos.(v))
               end)
-            (limb_reads instr))
+            () instr)
         cp.Limb_ir.instrs)
     limb.Limb_ir.chips;
   (* collective pairing: group by id, demand one instance per group
@@ -567,8 +555,13 @@ let translates (li : Limb_ir.instr) (ins : I.instr) =
   | ( Limb_ir.Collective { kind = Limb_ir.Aggregate_scatter; group; limbs; id; sends; recvs },
       I.Net_agg { group = g; limbs = l; coll_id; sends = s; recvs = r } ) ->
     id = coll_id && group = g && limbs = l && same sends s = 0 && same recvs r = 0
-  | Limb_ir.Sync id, I.Barrier b -> id = b
   | _ -> false
+
+(* [f r v] for each register [r] that [isa_fold] visits in [ins], with
+   the value [v] that [limb_fold] visits in the same slot of [li]. *)
+let in_step isa_fold limb_fold ins li f =
+  let vs = List.rev (limb_fold (fun vs v -> v :: vs) [] li) in
+  ignore (isa_fold (fun vs r -> match vs with v :: vs -> f r v; vs | [] -> []) vs ins)
 
 (* isa-translation: replay chip program [p] in step with its limb
    program [cp].  [shadow.(r)] is the value register [r] holds (-1:
@@ -579,14 +572,11 @@ let translates (li : Limb_ir.instr) (ins : I.instr) =
    instruction or is spill traffic (a Vstore or Vload) the allocator
    inserted. *)
 let check_translation ~flag ~n_vregs (cp : Limb_ir.chip_program) (p : I.program) =
+  (* what a limb [Load] defines is read from its home, so it counts as
+     not computed here *)
   let computed = Bytes.make (max 0 n_vregs) '\000' in
-  let mark v = if v >= 0 && v < n_vregs then Bytes.set computed v '\001' in
-  List.iter
-    (function
-      | Limb_ir.Compute c -> mark c.Limb_ir.dst
-      | Limb_ir.Collective { recvs; _ } -> List.iter mark recvs
-      | _ -> ())
-    cp.Limb_ir.instrs;
+  let mark () v = if v >= 0 && v < n_vregs then Bytes.set computed v '\001' in
+  List.iter (function Limb_ir.Load _ -> () | li -> Limb_ir.fold_writes mark () li) cp.Limb_ir.instrs;
   let stored = Hashtbl.create 64 in
   let hbm a =
     match Hashtbl.find_opt stored a with
@@ -606,13 +596,11 @@ let check_translation ~flag ~n_vregs (cp : Limb_ir.chip_program) (p : I.program)
     let ins = p.I.instrs.(!i) in
     (match !rest with
     | li :: tl when translates li ins ->
-      List.iter2
-        (fun r v ->
+      in_step I.fold_reads Limb_ir.fold_reads ins li (fun r v ->
           if held r <> v then
             flag !i
               (Printf.sprintf "%s reads r%d, which holds %s; limb instruction %d reads vreg %d"
-                 (I.mnemonic ins) r (value (held r)) !at v))
-        (I.reads ins) (limb_reads li);
+                 (I.mnemonic ins) r (value (held r)) !at v));
       (match ins with
       | I.Vload { addr; _ } when hbm addr <> Some addr ->
         flag !i
@@ -620,7 +608,7 @@ let check_translation ~flag ~n_vregs (cp : Limb_ir.chip_program) (p : I.program)
              addr (value (Option.value ~default:(-1) (hbm addr))) !at addr)
       | I.Vstore { src; addr } -> Hashtbl.replace stored addr (held src)
       | _ -> ());
-      List.iter2 hold (I.writes ins) (limb_defs li);
+      in_step I.fold_writes Limb_ir.fold_writes ins li hold;
       rest := tl;
       incr at
     | _ -> (
@@ -681,13 +669,13 @@ let verify_isa (cfg : Compile_config.t) (regalloc : Regalloc.stats array) (limb 
             end
             else true
           in
-          List.iter
-            (fun r ->
+          I.fold_reads
+            (fun () r ->
               if check_bound "source" r && not written.(r) then
                 flag ~chip "isa-read-before-write" i
                   (Printf.sprintf "r%d read before any write" r))
-            (I.reads instr);
-          List.iter (fun r -> if check_bound "destination" r then written.(r) <- true) (I.writes instr))
+            () instr;
+          I.fold_writes (fun () r -> if check_bound "destination" r then written.(r) <- true) () instr)
         p.I.instrs)
     machine.I.programs;
   let chips = limb.Limb_ir.chips and programs = machine.I.programs in

@@ -35,7 +35,21 @@ type instr =
       sends : vreg list; (* this chip's contribution *)
       recvs : vreg list; (* limbs materialized on this chip *)
     }
-  | Sync of int (* barrier with matching id *)
+
+(* The one definition of an instruction's operands, in operand order:
+   [fold_reads] visits the values it reads, [fold_writes] the values it
+   defines.  A collective reads its sends and writes its recvs. *)
+let fold_reads f acc = function
+  | Compute c -> List.fold_left f acc c.srcs
+  | Load _ -> acc
+  | Store v -> f acc v
+  | Collective { sends; _ } -> List.fold_left f acc sends
+
+let fold_writes f acc = function
+  | Compute c -> f acc c.dst
+  | Load v -> f acc v
+  | Store _ -> acc
+  | Collective { recvs; _ } -> List.fold_left f acc recvs
 
 type chip_program = { chip : int; instrs : instr list }
 
@@ -148,7 +162,7 @@ let compute_stats_chip cp =
         Hashtbl.replace tbl c.fu (k + c.macs)
       | Load _ -> incr loads
       | Store _ -> incr stores
-      | Collective _ | Sync _ -> ())
+      | Collective _ -> ())
     cp.instrs;
   {
     per_fu = Hashtbl.fold (fun fu n acc -> (fu, n) :: acc) tbl [];

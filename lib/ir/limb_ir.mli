@@ -26,7 +26,16 @@ type instr =
       sends : vreg list;  (** this chip's contribution *)
       recvs : vreg list;  (** limbs materialized on this chip *)
     }
-  | Sync of int
+
+(** The one definition of an instruction's operands, without building
+    anything: fold [f] over the values it reads, in operand order (a
+    collective reads its sends). *)
+val fold_reads : ('a -> vreg -> 'a) -> 'a -> instr -> 'a
+
+(** Fold [f] over the values an instruction defines, in operand order
+    (a collective writes its recvs).  Its operands are its reads, then
+    its writes. *)
+val fold_writes : ('a -> vreg -> 'a) -> 'a -> instr -> 'a
 
 type chip_program = { chip : int; instrs : instr list }
 type t = { chips : chip_program array; n_vregs : int; limb_bytes : int }

@@ -26,7 +26,6 @@ type instr =
   | Vstore of { src : reg; addr : int }
   | Net_bcast of { group : int list; limbs : int; coll_id : int; sends : reg list; recvs : reg list }
   | Net_agg of { group : int list; limbs : int; coll_id : int; sends : reg list; recvs : reg list }
-  | Barrier of int
 
 type program = {
   chip : int;
@@ -54,20 +53,25 @@ let fu_of_instr = function
   | Vtranspose _ -> C_transpose
   | Vprng _ -> C_prng
   | Vload _ | Vstore _ -> C_mem
-  | Net_bcast _ | Net_agg _ | Barrier _ -> C_net
+  | Net_bcast _ | Net_agg _ -> C_net
 
-let reads = function
-  | Valu { a; b; _ } -> [ a; b ]
-  | Valu_scalar { a; _ } -> [ a ]
-  | Vntt { src; _ } | Vintt { src; _ } | Vauto { src; _ } | Vtranspose { src; _ } -> [ src ]
-  | Vbconv { srcs; _ } -> srcs
-  | Vprng _ -> []
-  | Vload _ -> []
-  | Vstore { src; _ } -> [ src ]
-  | Net_bcast { sends; _ } | Net_agg { sends; _ } -> sends
-  | Barrier _ -> []
+(* The one definition of an instruction's operands, in operand order:
+   [fold_reads] visits the registers it reads, [fold_writes] the
+   registers it writes.  A collective reads its sends and writes its
+   recvs. *)
+let fold_reads f acc = function
+  | Valu { a; b; _ } -> f (f acc a) b
+  | Valu_scalar { a = src; _ }
+  | Vntt { src; _ }
+  | Vintt { src; _ }
+  | Vauto { src; _ }
+  | Vtranspose { src; _ }
+  | Vstore { src; _ } -> f acc src
+  | Vbconv { srcs; _ } -> List.fold_left f acc srcs
+  | Vprng _ | Vload _ -> acc
+  | Net_bcast { sends; _ } | Net_agg { sends; _ } -> List.fold_left f acc sends
 
-let writes = function
+let fold_writes f acc = function
   | Valu { dst; _ }
   | Valu_scalar { dst; _ }
   | Vntt { dst; _ }
@@ -76,9 +80,9 @@ let writes = function
   | Vbconv { dst; _ }
   | Vtranspose { dst; _ }
   | Vprng { dst; _ }
-  | Vload { dst; _ } -> [ dst ]
-  | Net_bcast { recvs; _ } | Net_agg { recvs; _ } -> recvs
-  | Vstore _ | Barrier _ -> []
+  | Vload { dst; _ } -> f acc dst
+  | Net_bcast { recvs; _ } | Net_agg { recvs; _ } -> List.fold_left f acc recvs
+  | Vstore _ -> acc
 
 let mnemonic = function
   | Valu { op = Op_add; _ } -> "vadd"
@@ -97,7 +101,6 @@ let mnemonic = function
   | Vstore _ -> "vstore"
   | Net_bcast _ -> "bcast"
   | Net_agg _ -> "agg"
-  | Barrier _ -> "barrier"
 
 let pp_instr fmt i =
   let open Format in
@@ -113,7 +116,6 @@ let pp_instr fmt i =
   | Vstore { src; addr } -> fprintf fmt "vstore r%d, [%d]" src addr
   | Net_bcast { limbs; coll_id; _ } -> fprintf fmt "bcast %d limbs (c%d)" limbs coll_id
   | Net_agg { limbs; coll_id; _ } -> fprintf fmt "agg %d limbs (c%d)" limbs coll_id
-  | Barrier id -> fprintf fmt "barrier %d" id
 
 type histogram = (string * int) list
 

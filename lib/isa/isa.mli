@@ -19,7 +19,6 @@ type instr =
   | Vstore of { src : reg; addr : int }
   | Net_bcast of { group : int list; limbs : int; coll_id : int; sends : reg list; recvs : reg list }
   | Net_agg of { group : int list; limbs : int; coll_id : int; sends : reg list; recvs : reg list }
-  | Barrier of int
 
 type program = { chip : int; instrs : instr array; n_regs : int }
 
@@ -34,11 +33,15 @@ type fu_class = C_add | C_mul | C_ntt | C_auto | C_bconv | C_transpose | C_prng 
 
 val fu_of_instr : instr -> fu_class
 
-(** Source registers (collectives read their sends). *)
-val reads : instr -> reg list
+(** The one definition of an instruction's operands, without building
+    anything: fold [f] over the registers it reads, in operand order (a
+    collective reads its sends). *)
+val fold_reads : ('a -> reg -> 'a) -> 'a -> instr -> 'a
 
-(** Destination registers (collectives write their recvs). *)
-val writes : instr -> reg list
+(** Fold [f] over the registers an instruction writes, in operand order
+    (a collective writes its recvs).  Its operands are its reads, then
+    its writes. *)
+val fold_writes : ('a -> reg -> 'a) -> 'a -> instr -> 'a
 
 val mnemonic : instr -> string
 val pp_instr : Format.formatter -> instr -> unit

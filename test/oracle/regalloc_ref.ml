@@ -23,7 +23,7 @@ let allocate ~num_regs ~emit (cp : L.chip_program) : assignment =
         | L.Compute c -> c.L.srcs
         | L.Store v -> [ v ]
         | L.Collective { sends; _ } -> sends
-        | L.Load _ | L.Sync _ -> []
+        | L.Load _ -> []
       in
       List.iter
         (fun v ->
@@ -134,7 +134,6 @@ let allocate ~num_regs ~emit (cp : L.chip_program) : assignment =
       | L.Store v -> emit_regs instr [ read v ]
       | L.Collective { sends; recvs; _ } ->
         let sends = List.map read sends in
-        emit_regs instr (sends @ List.map write recvs)
-      | L.Sync _ -> emit_regs instr [])
+        emit_regs instr (sends @ List.map write recvs))
     arr;
   { n_regs = !used; stats = { spills = !spills; reloads = !reloads; peak_live = !peak } }

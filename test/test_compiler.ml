@@ -195,21 +195,13 @@ let test_regalloc_belady_beats_small_file () =
 
 module Regalloc_ref = Cinnamon_oracle.Regalloc_ref
 
-(* The values an instruction reads and the values it defines. *)
-let operands = function
-  | Limb_ir.Compute c -> (c.Limb_ir.srcs, [ c.Limb_ir.dst ])
-  | Limb_ir.Load v -> ([], [ v ])
-  | Limb_ir.Store v -> ([ v ], [])
-  | Limb_ir.Collective { sends; recvs; _ } -> (sends, recvs)
-  | Limb_ir.Sync _ -> ([], [])
-
 (* Every emitted instruction with its registers, the register count and
    the statistics, or the typed error, of one allocation. *)
 let allocation alloc ~num_regs cp =
   let out = ref [] in
+  let count n _ = n + 1 in
   let emit ins regs k =
-    let reads, writes = operands ins in
-    out := (ins, Array.sub regs k (List.length reads + List.length writes)) :: !out
+    out := (ins, Array.sub regs k (Limb_ir.fold_writes count (Limb_ir.fold_reads count 0 ins) ins)) :: !out
   in
   match alloc ~num_regs ~emit cp with
   | (a : Regalloc.assignment) -> Ok (List.rev !out, a.Regalloc.n_regs, a.Regalloc.stats)
@@ -221,10 +213,13 @@ let reads_find_values emitted =
   let held = Hashtbl.create 64 in
   List.for_all
     (fun (ins, regs) ->
-      let reads, writes = operands ins in
-      let n = List.length reads in
-      let ok = List.for_all2 (fun v r -> Hashtbl.find_opt held r = Some v) reads (Array.to_list (Array.sub regs 0 n)) in
-      List.iteri (fun j v -> Hashtbl.replace held regs.(n + j) v) writes;
+      let check (ok, j) v = (ok && Hashtbl.find_opt held regs.(j) = Some v, j + 1) in
+      let hold j v =
+        Hashtbl.replace held regs.(j) v;
+        j + 1
+      in
+      let ok, n = Limb_ir.fold_reads check (true, 0) ins in
+      ignore (Limb_ir.fold_writes hold n ins);
       ok)
     emitted
 

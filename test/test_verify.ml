@@ -209,17 +209,11 @@ let test_mut_limb_use_before_def () =
   let instrs = chips.(0).Limb_ir.instrs in
   (* find a compute whose dst is read later on the same chip, and move
      it to the end of the program *)
-  let reads = function
-    | Limb_ir.Compute c -> c.Limb_ir.srcs
-    | Limb_ir.Store v -> [ v ]
-    | Limb_ir.Collective { sends; _ } -> sends
-    | _ -> []
-  in
+  let reads v i = Limb_ir.fold_reads (fun found u -> found || u = v) false i in
   let target =
     List.find_map
       (function
-        | Limb_ir.Compute c
-          when List.exists (fun i -> List.mem c.Limb_ir.dst (reads i)) instrs -> Some c
+        | Limb_ir.Compute c when List.exists (reads c.Limb_ir.dst) instrs -> Some c
         | _ -> None)
       instrs
     |> Option.get
@@ -314,7 +308,7 @@ let test_mut_isa_read_before_write () =
   let instrs =
     List.filter
       (fun i ->
-        if (not !dropped) && I.writes i <> [] then begin
+        if (not !dropped) && I.fold_writes (fun _ _ -> true) false i then begin
           dropped := true;
           false
         end
@@ -350,13 +344,10 @@ let test_mut_isa_missing_participant () =
   r.Pipeline.machine.I.programs.(0) <- { p with I.instrs = Array.of_list instrs };
   check_fires ~detail:"does not translate" "isa-translation" (Pipeline.verify r)
 
-(* The values an instruction reads and the values it defines. *)
-let operands = function
-  | Limb_ir.Compute c -> (c.Limb_ir.srcs, [ c.Limb_ir.dst ])
-  | Limb_ir.Load v -> ([], [ v ])
-  | Limb_ir.Store v -> ([ v ], [])
-  | Limb_ir.Collective { sends; recvs; _ } -> (sends, recvs)
-  | Limb_ir.Sync _ -> ([], [])
+(* An instruction's operands, reads then writes, from its IR's folds. *)
+let operand_list fold_reads fold_writes ins =
+  let cons l x = x :: l in
+  List.rev (fold_writes cons (fold_reads cons [] ins) ins)
 
 let map_regs f = function
   | I.Valu x -> I.Valu { x with dst = f x.dst; a = f x.a; b = f x.b }
@@ -371,7 +362,6 @@ let map_regs f = function
   | I.Vstore x -> I.Vstore { x with src = f x.src }
   | I.Net_bcast x -> I.Net_bcast { x with sends = List.map f x.sends; recvs = List.map f x.recvs }
   | I.Net_agg x -> I.Net_agg { x with sends = List.map f x.sends; recvs = List.map f x.recvs }
-  | I.Barrier _ as b -> b
 
 (* The naming the ISA had before it carried the allocator's registers:
    each value, by first appearance, gets register k mod num_regs.  The
@@ -393,9 +383,12 @@ let test_mut_isa_rotating_names () =
       in
       let j = ref 0 in
       let emit ins _ _ =
-        let reads, writes = operands ins in
         let isa = p.I.instrs.(!j) in
-        let value_of = List.combine (I.reads isa @ I.writes isa) (reads @ writes) in
+        let value_of =
+          List.combine
+            (operand_list I.fold_reads I.fold_writes isa)
+            (operand_list Limb_ir.fold_reads Limb_ir.fold_writes ins)
+        in
         p.I.instrs.(!j) <- map_regs (fun reg -> name (List.assoc reg value_of)) isa;
         incr j
       in
