@@ -52,7 +52,6 @@ let () =
       Fleet.Fleet.fc_nodes = nodes;
       fc_policy = Fleet.Router.Locality;
       fc_autoscale = Some { Fleet.Autoscaler.default with Fleet.Autoscaler.as_max_nodes = 6 };
-      fc_collect_responses = false;
       (* one tenant; each node's HBM holds one program's key set, and
          loading a cold one costs half a mean service time *)
       fc_tenancy = Fleet.Fleet.default_tenancy ~key_sets:1 ~key_load_s:(0.5 *. mean_service) compile;

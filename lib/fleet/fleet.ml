@@ -93,7 +93,6 @@ type config = {
   fc_nodes : int; (* initial fleet size *)
   fc_policy : Router.policy;
   fc_autoscale : Autoscaler.config option;
-  fc_collect_responses : bool; (* retain terminal responses (tests; O(requests)) *)
   fc_tenancy : tenancy;
 }
 
@@ -102,7 +101,6 @@ let default_config =
     fc_nodes = 4;
     fc_policy = Router.Least_loaded;
     fc_autoscale = None;
-    fc_collect_responses = false;
     fc_tenancy = default_tenancy (Cinnamon_compiler.Compile_config.paper ());
   }
 
@@ -129,7 +127,6 @@ type result = {
   fr_events : Autoscaler.event list;
   fr_nodes_peak : int;
   fr_nodes_final : int;
-  fr_responses : Response.t list; (* [] unless fc_collect_responses *)
   fr_tenants : tenant_result;
 }
 
@@ -173,7 +170,6 @@ let run ?pool ?(on_terminal = fun _ -> []) config ~make_node ~arrivals () =
   let insert_pending rs =
     if rs <> [] then pending := List.merge cmp_arrival (List.stable_sort cmp_arrival rs) !pending
   in
-  let responses = ref [] in
   (* every terminal response funnels through here exactly once: drop
      the request's key lease (its epoch may now finish rotating), log
      the tenant's first completion for cold-start percentiles, and let
@@ -191,7 +187,6 @@ let run ?pool ?(on_terminal = fun _ -> []) config ~make_node ~arrivals () =
          let tid = Tenant_id.to_int r.Request.req_tenant in
          if not (Hashtbl.mem cold_start tid) then Hashtbl.replace cold_start tid (l *. 1e3)
        | None -> ()));
-    if config.fc_collect_responses then responses := resp :: !responses;
     insert_pending (on_terminal resp)
   in
   let mk_fnode id =
@@ -432,7 +427,6 @@ let run ?pool ?(on_terminal = fun _ -> []) config ~make_node ~arrivals () =
     fr_events = (match scaler with None -> [] | Some sc -> Autoscaler.events sc);
     fr_nodes_peak = !nodes_peak;
     fr_nodes_final = List.length (active ());
-    fr_responses = List.rev !responses;
     fr_tenants =
       {
         tr_store = Store.stats store;

@@ -45,12 +45,10 @@ type config = {
   fc_nodes : int;  (** initial fleet size, >= 1 *)
   fc_policy : Router.policy;
   fc_autoscale : Autoscaler.config option;
-  fc_collect_responses : bool;
-      (** retain terminal responses (tests only; O(requests) memory) *)
   fc_tenancy : tenancy;
 }
 
-(** 4 nodes, least-loaded, no autoscaler, responses not retained,
+(** 4 nodes, least-loaded, no autoscaler,
     [default_tenancy] at the paper configuration. *)
 val default_config : config
 
@@ -78,8 +76,6 @@ type result = {
   fr_events : Autoscaler.event list;  (** oldest first *)
   fr_nodes_peak : int;
   fr_nodes_final : int;  (** active (non-draining) nodes at the end *)
-  fr_responses : Cinnamon_serve.Response.t list;
-      (** [] unless [fc_collect_responses] *)
   fr_tenants : tenant_result;
 }
 

@@ -172,7 +172,6 @@ let run cfg =
         Fleet.fc_nodes = nodes;
         fc_policy = policy;
         fc_autoscale = None;
-        fc_collect_responses = false;
         fc_tenancy = tenancy;
       }
     in
@@ -226,7 +225,6 @@ let run cfg =
               fc_policy = Router.Least_loaded;
               fc_autoscale =
                 Some { Autoscaler.default with as_min_nodes = 1; as_max_nodes = max_nodes };
-              fc_collect_responses = false;
               fc_tenancy = tenancy;
             }
           in

@@ -194,7 +194,6 @@ let run cfg =
         Fleet.fc_nodes = cfg.tb_nodes;
         fc_policy = policy;
         fc_autoscale = None;
-        fc_collect_responses = false;
         fc_tenancy = tenancy;
       }
     in

@@ -344,12 +344,11 @@ let test_fleet_full_rejection () =
       Fleet.default_config with
       Fleet.fc_nodes = 1;
       fc_policy = Router.Least_loaded;
-      fc_collect_responses = true;
     }
   in
   let make_node = const_node ~service:10.0 ~capacity:(capacity ~workers:1 ~queue:1 ~max_batch:1 ()) () in
   let arrivals = List.init 6 (fun id -> mk_req ~id ~arrival_s:0.0) in
-  let r = Fleet.run cfg ~make_node ~arrivals () in
+  let r, responses = Test_serve.run_collecting cfg ~make_node ~arrivals in
   let rp = report r in
   Alcotest.(check int) "offered" 6 rp.Serve.Slo.rp_offered;
   Alcotest.(check int) "queue-full rejections" 5 rp.Serve.Slo.rp_rejected_full;
@@ -365,7 +364,7 @@ let test_fleet_full_rejection () =
         match resp.Serve.Response.outcome with
         | Serve.Response.Rejected (Serve.Admission.Queue_full { capacity }) -> Some capacity
         | _ -> None)
-      r.Fleet.fr_responses
+      responses
   with
   | Some capacity -> Alcotest.(check int) "typed error carries queue capacity" 1 capacity
   | None -> Alcotest.fail "expected a Queue_full response"
@@ -374,7 +373,7 @@ let test_one_node_drain () =
   (* the node's own drain deadline closes admission at t=0.05: the two
      early requests drain to completion, the late one is rejected
      Closed — nothing vanishes *)
-  let cfg = { Fleet.default_config with Fleet.fc_nodes = 1; fc_collect_responses = true } in
+  let cfg = { Fleet.default_config with Fleet.fc_nodes = 1 } in
   let make_node =
     const_node ~service:1.0
       ~capacity:{ (capacity ~workers:1 ~max_batch:1 ()) with Serve.Node.drain_after_s = Some 0.05 }
@@ -383,13 +382,13 @@ let test_one_node_drain () =
   let arrivals =
     [ mk_req ~id:0 ~arrival_s:0.0; mk_req ~id:1 ~arrival_s:0.01; mk_req ~id:2 ~arrival_s:1.0 ]
   in
-  let r = Fleet.run cfg ~make_node ~arrivals () in
-  Alcotest.(check int) "every request has a response" 3 (List.length r.Fleet.fr_responses);
+  let r, responses = Test_serve.run_collecting cfg ~make_node ~arrivals in
+  Alcotest.(check int) "every request has a response" 3 (List.length responses);
   Alcotest.(check int) "admitted requests complete" 2 (report r).Serve.Slo.rp_completed;
   match
     List.find
       (fun (resp : Serve.Response.t) -> resp.Serve.Response.req.Serve.Request.req_id = 2)
-      r.Fleet.fr_responses
+      responses
   with
   | { Serve.Response.outcome = Serve.Response.Rejected Serve.Admission.Closed; _ } -> ()
   | resp ->
@@ -400,12 +399,14 @@ let test_follow_ups_after_rejection () =
   (* closed-loop clients react to every terminal response, rejections
      included: each of the burst's five queue-full refusals injects one
      follow-up that arrives after the worker frees up *)
-  let cfg = { Fleet.default_config with Fleet.fc_nodes = 1; fc_collect_responses = true } in
+  let cfg = { Fleet.default_config with Fleet.fc_nodes = 1 } in
   let make_node =
     const_node ~service:1.0 ~capacity:(capacity ~workers:1 ~queue:1 ~max_batch:1 ()) ()
   in
   let next_id = ref 6 in
+  let terminals = ref 0 in
   let on_terminal (resp : Serve.Response.t) =
+    incr terminals;
     match resp.Serve.Response.outcome with
     | Serve.Response.Rejected _ ->
       let id = !next_id in
@@ -419,7 +420,7 @@ let test_follow_ups_after_rejection () =
   Alcotest.(check int) "burst plus one follow-up per rejection" 11 rp.Serve.Slo.rp_offered;
   Alcotest.(check int) "burst rejections" 5 rp.Serve.Slo.rp_rejected_full;
   Alcotest.(check int) "first request and every follow-up complete" 6 rp.Serve.Slo.rp_completed;
-  Alcotest.(check int) "every offer terminal" 11 (List.length r.Fleet.fr_responses)
+  Alcotest.(check int) "every offer terminal" 11 !terminals
 
 let test_scale_up_under_load () =
   let cfg =
@@ -486,7 +487,6 @@ let test_fleet_bit_identical_across_jobs () =
     Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) @@ fun () ->
     let cfg =
       {
-        Fleet.default_config with
         Fleet.fc_nodes = 3;
         fc_policy = Router.Locality;
         fc_tenancy = one_slot_tenancy;

@@ -20,26 +20,36 @@ let const_executor ?(service = 1.0) calls ~now_s:_ _batch =
   incr calls;
   service
 
+(* Run a fleet and collect every terminal response, in order, through
+   [on_terminal]: the fleet's result and the responses. *)
+let run_collecting ?pool config ~make_node ~arrivals =
+  let responses = ref [] in
+  let on_terminal resp =
+    responses := resp :: !responses;
+    []
+  in
+  let r = Fleet.run ?pool ~on_terminal config ~make_node ~arrivals () in
+  (r, List.rev !responses)
+
 (* The single-node server: a one-node fleet of the first-class Node
    record. *)
 let run_server ~capacity ~executor arrivals =
-  Fleet.run
-    { Fleet.default_config with Fleet.fc_nodes = 1; fc_collect_responses = true }
+  run_collecting
+    { Fleet.default_config with Fleet.fc_nodes = 1 }
     ~make_node:(fun _ -> Node.make ~capacity ~execute:executor ())
-    ~arrivals ()
+    ~arrivals
 
 let contains ~needle hay =
   let ls = String.length needle and ln = String.length hay in
   let rec scan i = i + ls <= ln && (String.sub hay i ls = needle || scan (i + 1)) in
   scan 0
 
-let outcomes (r : Fleet.result) =
-  List.map (fun (resp : Response.t) -> Response.outcome_name resp.Response.outcome) r.fr_responses
+let count name responses =
+  List.length
+    (List.filter (fun (resp : Response.t) -> Response.outcome_name resp.Response.outcome = name) responses)
 
-let count name r = List.length (List.filter (( = ) name) (outcomes r))
-
-let find_response (r : Fleet.result) id =
-  List.find (fun (resp : Response.t) -> resp.Response.req.Request.req_id = id) r.fr_responses
+let find_response responses id =
+  List.find (fun (resp : Response.t) -> resp.Response.req.Request.req_id = id) responses
 
 let opt_ms = Alcotest.(option (float 1e-9))
 
@@ -63,10 +73,10 @@ let test_queue_full_rejection () =
   let capacity =
     { Node.default_capacity with Node.workers = 1; queue_capacity = 2; max_batch = 1 }
   in
-  let r = run_server ~capacity ~executor:(const_executor calls) arrivals in
-  Alcotest.(check int) "three complete" 3 (count "completed" r);
-  Alcotest.(check int) "one rejected" 1 (count "rejected" r);
-  match (find_response r 3).Response.outcome with
+  let _, rs = run_server ~capacity ~executor:(const_executor calls) arrivals in
+  Alcotest.(check int) "three complete" 3 (count "completed" rs);
+  Alcotest.(check int) "one rejected" 1 (count "rejected" rs);
+  match (find_response rs 3).Response.outcome with
   | Response.Rejected (Admission.Queue_full { capacity }) ->
     Alcotest.(check int) "error carries capacity" 2 capacity
   | o -> Alcotest.failf "expected Queue_full, got %s" (Response.outcome_name o)
@@ -78,8 +88,8 @@ let test_expired_on_arrival () =
     [ req ~id:0 ~arrival_s:0.0 (); req ~id:1 ~deadline_s:0.5 ~arrival_s:1.0 () ]
   in
   let capacity = { Node.default_capacity with Node.workers = 1 } in
-  let r = run_server ~capacity ~executor:(const_executor calls) arrivals in
-  match (find_response r 1).Response.outcome with
+  let _, rs = run_server ~capacity ~executor:(const_executor calls) arrivals in
+  match (find_response rs 1).Response.outcome with
   | Response.Rejected (Admission.Expired { deadline_s; now_s }) ->
     Alcotest.(check (float 1e-9)) "deadline" 0.5 deadline_s;
     Alcotest.(check (float 1e-9)) "now" 1.0 now_s
@@ -93,10 +103,10 @@ let test_deadline_shed_while_queued () =
     [ req ~id:0 ~arrival_s:0.0 (); req ~id:1 ~deadline_s:1.0 ~arrival_s:0.1 () ]
   in
   let capacity = { Node.default_capacity with Node.workers = 1; max_batch = 1 } in
-  let r = run_server ~capacity ~executor:(const_executor ~service:10.0 calls) arrivals in
+  let r, rs = run_server ~capacity ~executor:(const_executor ~service:10.0 calls) arrivals in
   Alcotest.(check int) "one executed batch" 1 !calls;
-  Alcotest.(check int) "one completed" 1 (count "completed" r);
-  (match (find_response r 1).Response.outcome with
+  Alcotest.(check int) "one completed" 1 (count "completed" rs);
+  (match (find_response rs 1).Response.outcome with
   | Response.Shed { deadline_s; shed_s } ->
     Alcotest.(check (float 1e-9)) "deadline recorded" 1.0 deadline_s;
     Alcotest.(check bool) "shed after expiry" true (shed_s >= deadline_s)
@@ -115,9 +125,9 @@ let test_retry_then_succeed () =
     2.0
   in
   let capacity = { Node.default_capacity with Node.workers = 1; max_attempts = 3 } in
-  let r = run_server ~capacity ~executor [ req ~id:0 ~arrival_s:0.0 () ] in
+  let r, rs = run_server ~capacity ~executor [ req ~id:0 ~arrival_s:0.0 () ] in
   Alcotest.(check int) "two attempts" 2 !attempts_seen;
-  (match (find_response r 0).Response.outcome with
+  (match (find_response rs 0).Response.outcome with
   | Response.Completed { attempts; _ } -> Alcotest.(check int) "attempts recorded" 2 attempts
   | o -> Alcotest.failf "expected Completed, got %s" (Response.outcome_name o));
   let rp = Slo.report r.Fleet.fr_slo ~duration_s:1.0 ~compiles:0 ~cache_hits:0 in
@@ -126,8 +136,8 @@ let test_retry_then_succeed () =
 let test_retries_exhausted () =
   let executor ~now_s:_ _b = raise (Node.Transient "always down") in
   let capacity = { Node.default_capacity with Node.workers = 1; max_attempts = 3 } in
-  let r = run_server ~capacity ~executor [ req ~id:0 ~arrival_s:0.0 () ] in
-  match (find_response r 0).Response.outcome with
+  let _, rs = run_server ~capacity ~executor [ req ~id:0 ~arrival_s:0.0 () ] in
+  match (find_response rs 0).Response.outcome with
   | Response.Failed { attempts; reason; _ } ->
     Alcotest.(check int) "all attempts burned" 3 attempts;
     Alcotest.(check bool) "reason mentions transient" true (contains ~needle:"transient" reason)
@@ -140,9 +150,9 @@ let test_nontransient_fails_immediately () =
     failwith "compile exploded"
   in
   let capacity = { Node.default_capacity with Node.workers = 1; max_attempts = 5 } in
-  let r = run_server ~capacity ~executor [ req ~id:0 ~arrival_s:0.0 () ] in
+  let _, rs = run_server ~capacity ~executor [ req ~id:0 ~arrival_s:0.0 () ] in
   Alcotest.(check int) "no retry on permanent error" 1 !calls;
-  match (find_response r 0).Response.outcome with
+  match (find_response rs 0).Response.outcome with
   | Response.Failed { attempts; reason; _ } ->
     Alcotest.(check int) "one attempt" 1 attempts;
     Alcotest.(check bool) "reason preserved" true
@@ -159,10 +169,10 @@ let test_batching_amortizes () =
   let capacity =
     { Node.default_capacity with Node.workers = 1; max_batch = 8; queue_capacity = 16 }
   in
-  let r = run_server ~capacity ~executor:(const_executor calls) arrivals in
-  Alcotest.(check int) "all complete" 6 (count "completed" r);
+  let _, rs = run_server ~capacity ~executor:(const_executor calls) arrivals in
+  Alcotest.(check int) "all complete" 6 (count "completed" rs);
   Alcotest.(check int) "two batches" 2 !calls;
-  match (find_response r 5).Response.outcome with
+  match (find_response rs 5).Response.outcome with
   | Response.Completed { batch_size; _ } -> Alcotest.(check int) "second batch packs 5" 5 batch_size
   | o -> Alcotest.failf "expected Completed, got %s" (Response.outcome_name o)
 
@@ -173,7 +183,7 @@ let test_batch_respects_slot_cap () =
   let calls = ref 0 in
   let arrivals = List.init 4 (fun id -> req ~config ~id ~arrival_s:0.0 ()) in
   let capacity = { Node.default_capacity with Node.workers = 1; max_batch = 8 } in
-  let r = run_server ~capacity ~executor:(const_executor calls) arrivals in
+  let _, rs = run_server ~capacity ~executor:(const_executor calls) arrivals in
   Alcotest.(check int) "two slot-capped batches" 2 !calls;
   List.iter
     (fun (resp : Response.t) ->
@@ -181,7 +191,7 @@ let test_batch_respects_slot_cap () =
       | Response.Completed { batch_size; _ } ->
         Alcotest.(check bool) "batch within slot cap" true (batch_size <= 2)
       | o -> Alcotest.failf "expected Completed, got %s" (Response.outcome_name o))
-    r.Fleet.fr_responses
+    rs
 
 let test_incompatible_requests_split_batches () =
   (* same arrival instant, different compile configs -> the batcher
@@ -194,8 +204,8 @@ let test_incompatible_requests_split_batches () =
       req ~config:cfg_a ~id:2 ~arrival_s:0.0 () ]
   in
   let capacity = { Node.default_capacity with Node.workers = 3; max_batch = 8 } in
-  let r = run_server ~capacity ~executor:(const_executor calls) arrivals in
-  Alcotest.(check int) "all complete" 3 (count "completed" r);
+  let _, rs = run_server ~capacity ~executor:(const_executor calls) arrivals in
+  Alcotest.(check int) "all complete" 3 (count "completed" rs);
   Alcotest.(check int) "configs never share a batch" 2 !calls
 
 let test_compat_key_is_structural () =
@@ -264,10 +274,10 @@ let test_drain_completes_admitted () =
   let capacity =
     { Node.default_capacity with Node.workers = 1; max_batch = 1; drain_after_s = Some 0.05 }
   in
-  let r = run_server ~capacity ~executor:(const_executor calls) arrivals in
-  Alcotest.(check int) "every request has a response" 3 (List.length r.Fleet.fr_responses);
-  Alcotest.(check int) "admitted requests complete" 2 (count "completed" r);
-  match (find_response r 2).Response.outcome with
+  let _, rs = run_server ~capacity ~executor:(const_executor calls) arrivals in
+  Alcotest.(check int) "every request has a response" 3 (List.length rs);
+  Alcotest.(check int) "admitted requests complete" 2 (count "completed" rs);
+  match (find_response rs 2).Response.outcome with
   | Response.Rejected Admission.Closed -> ()
   | o -> Alcotest.failf "expected Rejected Closed, got %s" (Response.outcome_name o)
 
@@ -295,8 +305,8 @@ let test_every_offered_request_accounted () =
   let calls = ref 0 in
   let arrivals = List.init 20 (fun id -> req ~id ~arrival_s:(0.3 *. Float.of_int id) ()) in
   let capacity = { Node.default_capacity with Node.workers = 2; queue_capacity = 3 } in
-  let r = run_server ~capacity ~executor:(const_executor ~service:2.0 calls) arrivals in
-  Alcotest.(check int) "20 responses for 20 requests" 20 (List.length r.Fleet.fr_responses);
+  let r, rs = run_server ~capacity ~executor:(const_executor ~service:2.0 calls) arrivals in
+  Alcotest.(check int) "20 responses for 20 requests" 20 (List.length rs);
   let rp = Slo.report r.Fleet.fr_slo ~duration_s:r.Fleet.fr_makespan_s ~compiles:0 ~cache_hits:0 in
   Alcotest.(check int) "offered = terminal outcomes"
     rp.Slo.rp_offered

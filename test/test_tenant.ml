@@ -255,17 +255,16 @@ let run_tenant_fleet ?pool ?(period = infinity) ~policy () =
       Fleet.Fleet.fc_nodes = 3;
       fc_policy = policy;
       fc_tenancy = paper_tenancy ~period ();
-      fc_collect_responses = true;
     }
   in
-  Fleet.Fleet.run ?pool cfg ~make_node:(const_node ~capacity) ~arrivals:(tenant_trace ~rate:6.0 ())
-    ()
+  Test_serve.run_collecting ?pool cfg ~make_node:(const_node ~capacity)
+    ~arrivals:(tenant_trace ~rate:6.0 ())
 
 let test_fleet_rotation_mid_flight () =
   (* rotations fire mid-trace on the virtual clock; leases pin
      in-flight epochs, so every request completes and rotations both
      start and finish during the run *)
-  let r = run_tenant_fleet ~period:5.0 ~policy:Fleet.Router.Locality () in
+  let r, responses = run_tenant_fleet ~period:5.0 ~policy:Fleet.Router.Locality () in
   let tr = r.Fleet.Fleet.fr_tenants in
   let report =
     Serve.Slo.report r.Fleet.Fleet.fr_slo
@@ -286,7 +285,7 @@ let test_fleet_rotation_mid_flight () =
     (List.exists
        (fun (resp : Serve.Response.t) ->
          Epoch.to_int resp.Serve.Response.req.Serve.Request.req_epoch > 0)
-       r.Fleet.Fleet.fr_responses);
+       responses);
   (* key-load penalties were actually charged *)
   Alcotest.(check bool) "key penalty accounted" true (tr.Fleet.Fleet.tr_key_penalty_s > 0.0);
   Alcotest.(check bool) "ingress accounted" true (tr.Fleet.Fleet.tr_transcipher_s > 0.0);
@@ -295,8 +294,8 @@ let test_fleet_rotation_mid_flight () =
     (List.length tr.Fleet.Fleet.tr_cold_start_ms = 8)
 
 let test_fleet_tenant_locality_wins () =
-  let loc = run_tenant_fleet ~policy:Fleet.Router.Locality () in
-  let rr = run_tenant_fleet ~policy:Fleet.Router.Round_robin () in
+  let loc, _ = run_tenant_fleet ~policy:Fleet.Router.Locality () in
+  let rr, _ = run_tenant_fleet ~policy:Fleet.Router.Round_robin () in
   Alcotest.(check bool)
     (Printf.sprintf "locality hit rate beats round-robin (%.2f vs %.2f)"
        (Fleet.Fleet.key_hit_rate loc) (Fleet.Fleet.key_hit_rate rr))
@@ -312,7 +311,7 @@ let test_fleet_tenants_bit_identical_across_jobs () =
   let run jobs =
     let pool = Exec.Pool.create ~jobs () in
     Fun.protect ~finally:(fun () -> Exec.Pool.shutdown pool) @@ fun () ->
-    run_tenant_fleet ~pool ~period:5.0 ~policy:Fleet.Router.Locality ()
+    fst (run_tenant_fleet ~pool ~period:5.0 ~policy:Fleet.Router.Locality ())
   in
   let a = run 1 and b = run 4 in
   Alcotest.(check (float 0.0)) "makespan bit-identical" a.Fleet.Fleet.fr_makespan_s
