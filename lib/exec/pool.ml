@@ -9,7 +9,8 @@
    When the pool is created with one job (explicitly, or because
    [Domain.recommended_domain_count () = 1]) no domains are spawned and
    everything runs sequentially in the caller — the degenerate pool is
-   exactly [List.map]. *)
+   exactly [List.map].  A one-element map runs in the caller on any
+   pool. *)
 
 type job = Job of (unit -> unit) | Stop
 
@@ -97,6 +98,10 @@ let map t f xs =
   else
     match xs with
     | [] -> []
+    | [ x ] ->
+      (* nothing to overlap with: a worker round trip would only add
+         two hand-offs to the job's own time *)
+      [ f x ]
     | _ ->
       let arr = Array.of_list xs in
       let n = Array.length arr in

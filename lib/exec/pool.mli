@@ -26,8 +26,9 @@ val default_jobs : unit -> int
 
 (** Parallel [List.map] with deterministic (input-order) results.  If a
     job raises, the first exception by input position is re-raised in
-    the caller after all jobs finish.  Call only from the domain that
-    created the pool. *)
+    the caller after all jobs finish.  A one-element list runs on the
+    calling domain, exactly as [List.map] would.  Call only from the
+    domain that created the pool. *)
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Drain remaining jobs and join the worker domains.  Idempotent. *)

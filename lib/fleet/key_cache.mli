@@ -8,11 +8,12 @@
 type entry = {
   en_tenant : Cinnamon_tenant.Tenant_id.t;
   en_epoch : Cinnamon_tenant.Epoch.t;
-  en_compat : string;  (** batch compatibility digest (program identity) *)
+  en_compat : string;  (** program identity: the request's [req_program] *)
 }
 
 (** The entry a request's dispatch will look up: its tenant, its
-    stamped epoch, and its batch compatibility key. *)
+    stamped epoch, and its program key (digested once, at
+    [Request.make]). *)
 val entry_of_request : Cinnamon_serve.Request.t -> entry
 
 val entry_to_string : entry -> string

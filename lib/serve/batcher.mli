@@ -15,10 +15,12 @@ type batch = private {
 
 val size : batch -> int
 
-(** The compatibility key: benchmark name, system name, and a digest
-    of {!Cinnamon_exec.Cache_key.config_sig} — the same structural
+(** The compatibility key: tenant, epoch, then the request's
+    [req_program] — benchmark name, system name, and a digest of
+    {!Cinnamon_exec.Cache_key.config_sig}, the same structural
     rendering of the compile configuration (every behavioural field)
-    the result cache keys on. *)
+    the result cache keys on.  {!form} groups by the same fields
+    without rendering it per request. *)
 val compat_key : Request.t -> string
 
 (** [form q ~now_s ~max_batch ~batch_id] pops the head-of-line request

@@ -7,7 +7,7 @@ type priority = High | Normal | Low
 (** [High] ranks before [Normal] before [Low]. *)
 val priority_rank : priority -> int
 
-type t = {
+type t = private {
   req_id : int;
   req_bench : string;  (** benchmark registry name (see [Specs.benchmarks]) *)
   req_system : string;  (** system registry name (see [Runner.systems]) *)
@@ -20,6 +20,11 @@ type t = {
   req_epoch : Cinnamon_tenant.Epoch.t;
       (** key epoch bound at admission (the fleet stamps it from its
           tenant key store) *)
+  req_program : string;
+      (** the compiled program's identity: [bench|system|] and the MD5
+          of {!Cinnamon_exec.Cache_key.config_sig} of [req_config], in
+          hex.  Computed once by {!make}; the record is private, so it
+          cannot fall out of step with the fields it digests. *)
 }
 
 (** [config] defaults to [Compile_config.paper ()], [priority] to

@@ -63,18 +63,35 @@ type phase =
   | Retired of { rd_last : Epoch.t; rd_at_s : float }
 
 type tenant_state = {
+  ts_tenant : Tenant_id.t;
+  ts_index : int; (* provision index: [tick]'s visiting order *)
   mutable ts_phase : phase;
   mutable ts_next_rotation_s : float;
   (* in-flight lease count per epoch int; absent = zero *)
   ts_leases : (int, int ref) Hashtbl.t;
 }
 
+(* Active tenants by (next rotation time, provision index); a nan time
+   sorts last, since it is never due. *)
+module Due = Map.Make (struct
+  type t = float * int
+
+  let compare (a, i) (b, j) =
+    match compare (Float.is_nan a) (Float.is_nan b) with
+    | 0 -> ( match Float.compare a b with 0 -> Int.compare i j | c -> c)
+    | c -> c
+end)
+
+module By_index = Map.Make (Int)
+
 type t = {
   config : config;
   tenants : (int, tenant_state) Hashtbl.t;
-  (* provision order: the deterministic iteration order for [tick] —
-     Hashtbl.iter order is not a contract we want runs to depend on *)
-  mutable order : Tenant_id.t list; (* reverse provision order *)
+  (* the only tenants [tick] can move, so it visits just these two
+     (disjoint) sets, merged back into provision order — the
+     deterministic order, whatever the hash layout *)
+  mutable due : tenant_state Due.t; (* every Active tenant *)
+  mutable rotating : tenant_state By_index.t; (* every Rotating tenant *)
   mutable provisioned : int;
   mutable rotations_started : int;
   mutable rotations_completed : int;
@@ -92,7 +109,8 @@ let create config =
   {
     config;
     tenants = Hashtbl.create 64;
-    order = [];
+    due = Due.empty;
+    rotating = By_index.empty;
     provisioned = 0;
     rotations_started = 0;
     rotations_completed = 0;
@@ -109,13 +127,17 @@ let provision t tenant ~now_s =
   | Some _ -> Error (Already_provisioned tenant)
   | None ->
     let ks = key_set_of t tenant Epoch.zero in
-    Hashtbl.replace t.tenants (Tenant_id.to_int tenant)
+    let st =
       {
+        ts_tenant = tenant;
+        ts_index = t.provisioned;
         ts_phase = Active ks;
         ts_next_rotation_s = now_s +. t.config.sc_rotation_period_s;
         ts_leases = Hashtbl.create 4;
-      };
-    t.order <- tenant :: t.order;
+      }
+    in
+    Hashtbl.replace t.tenants (Tenant_id.to_int tenant) st;
+    t.due <- Due.add (st.ts_next_rotation_s, st.ts_index) st t.due;
     t.provisioned <- t.provisioned + 1;
     Ok ks
 
@@ -183,6 +205,8 @@ let begin_rotation t tenant ~now_s =
     | Rotating _ -> Error (Rotation_in_progress tenant)
     | Active old ->
       let next = key_set_of t tenant (Epoch.next (Key_set.epoch old)) in
+      t.due <- Due.remove (st.ts_next_rotation_s, st.ts_index) t.due;
+      t.rotating <- By_index.add st.ts_index st t.rotating;
       st.ts_phase <- Rotating { rt_old = old; rt_next = next; rt_started_s = now_s };
       st.ts_next_rotation_s <- now_s +. t.config.sc_rotation_period_s;
       t.rotations_started <- t.rotations_started + 1;
@@ -200,48 +224,60 @@ let retire t tenant ~now_s =
     | Active ks ->
       if leases_on st (Key_set.epoch ks) > 0 then Error (Rotation_in_progress tenant)
       else begin
+        t.due <- Due.remove (st.ts_next_rotation_s, st.ts_index) t.due;
         st.ts_phase <- Retired { rd_last = Key_set.epoch ks; rd_at_s = now_s };
         Ok ()
       end)
 
+(* One tenant's step of [tick]: complete its rotation if the old
+   epoch has drained, then begin one if it is due. *)
+let step t ~now_s events st =
+  let tenant = st.ts_tenant in
+  (match st.ts_phase with
+  | Rotating { rt_old; rt_next; _ } when leases_on st (Key_set.epoch rt_old) = 0 ->
+    st.ts_phase <- Active rt_next;
+    t.rotating <- By_index.remove st.ts_index t.rotating;
+    t.due <- Due.add (st.ts_next_rotation_s, st.ts_index) st t.due;
+    Hashtbl.remove st.ts_leases (Epoch.to_int (Key_set.epoch rt_old));
+    t.rotations_completed <- t.rotations_completed + 1;
+    events :=
+      { ev_tenant = tenant; ev_at_s = now_s; ev_kind = `Rotation_completed (Key_set.epoch rt_next) }
+      :: !events
+  | _ -> ());
+  match st.ts_phase with
+  | Active old when st.ts_next_rotation_s <= now_s -> (
+    match begin_rotation t tenant ~now_s with
+    | Ok next ->
+      events :=
+        {
+          ev_tenant = tenant;
+          ev_at_s = now_s;
+          ev_kind = `Rotation_started (Key_set.epoch old, Key_set.epoch next);
+        }
+        :: !events
+    | Error _ -> () (* unreachable from Active *))
+  | _ -> ()
+
 (* Advance the lifecycle to [now_s]: start due rotations, complete the
-   ones whose old epoch has drained.  Iterates tenants in provision
-   order, so fleet runs stay deterministic whatever the hash layout. *)
+   ones whose old epoch has drained.  Only rotating tenants and Active
+   ones whose rotation is due can move, so only those are visited —
+   in provision order, as a scan of every tenant would — and an idle
+   tick costs nothing per tenant. *)
 let tick t ~now_s =
-  let events = ref [] in
-  List.iter
-    (fun tenant ->
-      match find t tenant with
-      | None -> ()
-      | Some st -> (
-        (match st.ts_phase with
-        | Rotating { rt_old; rt_next; _ } when leases_on st (Key_set.epoch rt_old) = 0 ->
-          st.ts_phase <- Active rt_next;
-          Hashtbl.remove st.ts_leases (Epoch.to_int (Key_set.epoch rt_old));
-          t.rotations_completed <- t.rotations_completed + 1;
-          events :=
-            {
-              ev_tenant = tenant;
-              ev_at_s = now_s;
-              ev_kind = `Rotation_completed (Key_set.epoch rt_next);
-            }
-            :: !events
-        | _ -> ());
-        match st.ts_phase with
-        | Active old when st.ts_next_rotation_s <= now_s ->
-          (match begin_rotation t tenant ~now_s with
-          | Ok next ->
-            events :=
-              {
-                ev_tenant = tenant;
-                ev_at_s = now_s;
-                ev_kind = `Rotation_started (Key_set.epoch old, Key_set.epoch next);
-              }
-              :: !events
-          | Error _ -> () (* unreachable from Active *))
-        | _ -> ()))
-    (List.rev t.order);
-  List.rev !events
+  let is_due ((at, _), _) = at <= now_s in
+  if (not (Option.fold ~none:false ~some:is_due (Due.min_binding_opt t.due)))
+     && By_index.is_empty t.rotating
+  then []
+  else begin
+    let by_index a b = Int.compare a.ts_index b.ts_index in
+    let due =
+      Due.to_seq t.due |> Seq.take_while is_due |> Seq.map snd |> List.of_seq |> List.sort by_index
+    in
+    let events = ref [] in
+    List.iter (step t ~now_s events)
+      (List.merge by_index due (List.map snd (By_index.bindings t.rotating)));
+    List.rev !events
+  end
 
 type stats = {
   st_provisioned : int;
@@ -251,14 +287,9 @@ type stats = {
 }
 
 let stats t =
-  let rotating =
-    Hashtbl.fold
-      (fun _ st acc -> match st.ts_phase with Rotating _ -> acc + 1 | _ -> acc)
-      t.tenants 0
-  in
   {
     st_provisioned = t.provisioned;
     st_rotations_started = t.rotations_started;
     st_rotations_completed = t.rotations_completed;
-    st_rotating_now = rotating;
+    st_rotating_now = By_index.cardinal t.rotating;
   }

@@ -62,6 +62,27 @@ let test_pool_small_queue () =
   Alcotest.(check int) "all jobs ran" 100 (List.length r);
   Alcotest.(check (list int)) "ordered" (List.init 100 (fun i -> i + 1)) r
 
+let test_pool_single_job_inline () =
+  (* a one-element map has nothing to overlap with: it runs on the
+     calling domain and behaves as List.map, exceptions included *)
+  let p = Pool.create ~jobs:2 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown p) @@ fun () ->
+  let f i = ((Domain.self () :> int), i * 3) in
+  let caller = (Domain.self () :> int) in
+  Alcotest.(check (list (pair int int))) "runs on the caller" [ (caller, 21) ] (Pool.map p f [ 7 ]);
+  Alcotest.(check (list (pair int int))) "value as List.map" (List.map f [ 7 ]) (Pool.map p f [ 7 ]);
+  let boom _ = failwith "lone job" in
+  let raised g = match g () with _ -> "no exception" | exception e -> Printexc.to_string e in
+  Alcotest.(check string) "exception as List.map"
+    (raised (fun () -> List.map boom [ 1 ]))
+    (raised (fun () -> Pool.map p boom [ 1 ]));
+  let xs = List.init 12 Fun.id in
+  let g i =
+    if i mod 5 = 0 then Unix.sleepf 0.001;
+    i * i
+  in
+  Alcotest.(check (list int)) "multi-element maps keep input order" (List.map g xs) (Pool.map p g xs)
+
 (* ----------------------------------------------- kernel-cache concurrency *)
 
 module Params = Cinnamon_ckks.Params
@@ -422,6 +443,7 @@ let suite =
       Alcotest.test_case "pool rejects negative jobs" `Quick test_pool_rejects_negative_jobs;
       Alcotest.test_case "pool exception propagation" `Quick test_pool_exception_propagates;
       Alcotest.test_case "pool bounded queue" `Quick test_pool_small_queue;
+      Alcotest.test_case "pool runs a lone job inline" `Quick test_pool_single_job_inline;
       Alcotest.test_case "rotation-key stress (pool)" `Quick test_rotation_key_stress;
       Alcotest.test_case "ntt plan concurrent" `Quick test_ntt_plan_concurrent;
       Alcotest.test_case "base_conv parallel determinism" `Quick
