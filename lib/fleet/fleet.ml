@@ -11,8 +11,10 @@
    VIRTUAL seconds — a batch dispatched at virtual time t whose
    executor reports s seconds of service occupies one of its node's
    simulated executors until t + s (plus any key-load and ingress
-   charge).  The executor itself (a compile + cycle simulation through
-   the Result_cache) is REAL work.
+   charge).  The executor itself is REAL work: the production one
+   (Loadgen.workload_executor) looks the batch's benchmark plan up by
+   program key and reads each segment's simulation from the
+   Result_cache, compiling and simulating only on a miss.
 
    Determinism.  Every decision that shapes the run — routing, batch
    formation, key-cache penalties, autoscaling — happens sequentially

@@ -54,10 +54,21 @@ let admit t ~now_s (r : Request.t) =
     Ok ()
   end
 
+let rec any_expired now_s = function
+  | [] -> false
+  | r :: rest -> Request.expired r ~now_s || any_expired now_s rest
+
+(* The fleet loop sheds every node at every step, and almost always
+   nothing has expired: then the queue is left as it is. *)
 let shed_expired t ~now_s =
-  let expired, keep = List.partition (fun r -> Request.expired r ~now_s) t.items in
-  t.items <- keep;
-  expired
+  if not (any_expired now_s t.items) then []
+  else begin
+    let expired, keep = List.partition (fun r -> Request.expired r ~now_s) t.items in
+    t.items <- keep;
+    expired
+  end
+
+let queued t = t.items
 
 let peek t = match t.items with [] -> None | r :: _ -> Some r
 

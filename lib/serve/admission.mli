@@ -36,8 +36,12 @@ val is_closed : t -> bool
 val admit : t -> now_s:float -> Request.t -> (unit, error) result
 
 (** Remove and return every queued request whose deadline lies strictly
-    before [now_s]. *)
+    before [now_s].  When none has expired the queue is left physically
+    as it was and nothing is allocated. *)
 val shed_expired : t -> now_s:float -> Request.t list
+
+(** The queued requests in dispatch order (the queue's own list). *)
+val queued : t -> Request.t list
 
 (** Highest-priority, oldest queued request. *)
 val peek : t -> Request.t option

@@ -18,10 +18,16 @@ type class_spec = {
   cls_weight : float;  (** > 0; mix is weight-proportional *)
 }
 
-(** The production [Node.execute]: resolve the head request's workload
-    and charge the batch one real compile + simulation (all requests
-    in a batch share the batcher's compatibility key, so one run
-    amortizes over the whole batch). *)
+(** The production [Node.execute]: charge the batch one run of its
+    head request's {!Cinnamon_workloads.Runner.plan} (all requests in a
+    batch share the batcher's compatibility key, so one run amortizes
+    over the whole batch).  The plan is resolved from the registries
+    once per distinct [Request.req_program] and kept in a domain-safe
+    table, so a warm call is one result-cache lookup per segment; a
+    cold one compiles and simulates the missing segments.  Seconds and
+    cache traffic equal [Runner.run_benchmark]'s.  Raises
+    [Unknown_name] on an unknown benchmark or system, on every call (a
+    failed resolution is not kept). *)
 val workload_executor : now_s:float -> Batcher.batch -> float
 
 (** Run each class once (through the result cache, pre-warming the

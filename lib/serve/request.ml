@@ -29,6 +29,18 @@ type t = {
   req_program : string;
 }
 
+(* [req_program] of one (bench, system, config), rendered once per
+   distinct triple: a trace makes a request per arrival but draws them
+   from a handful of programs, and a rendering costs a Printf of the
+   whole configuration and an MD5.  Requests are made on any domain,
+   hence a Memo. *)
+let programs : (string * string * CC.t, string) Cinnamon_util.Memo.t =
+  Cinnamon_util.Memo.create ()
+
+let render_program bench system config () =
+  String.concat "|"
+    [ bench; system; Digest.to_hex (Digest.string (Cinnamon_exec.Cache_key.config_sig config)) ]
+
 let make ?config ?(priority = Normal) ?(deadline_s = infinity) ?(tenant = Tenant_id.default)
     ?(epoch = Epoch.zero) ~id ~bench ~system ~arrival_s () =
   if arrival_s < 0.0 || Float.is_nan arrival_s then
@@ -46,8 +58,7 @@ let make ?config ?(priority = Normal) ?(deadline_s = infinity) ?(tenant = Tenant
     req_tenant = tenant;
     req_epoch = epoch;
     req_program =
-      String.concat "|"
-        [ bench; system; Digest.to_hex (Digest.string (Cinnamon_exec.Cache_key.config_sig config)) ];
+      Cinnamon_util.Memo.get programs (bench, system, config) (render_program bench system config);
   }
 
 (* Admission-time epoch binding: the fleet stamps the epoch its key

@@ -12,8 +12,11 @@
    Cinnamon_exec.Result_cache, keyed structurally on the FULL compile
    configuration plus the simulated hardware configuration plus the
    kernel (Cinnamon_exec.Cache_key) — no hand-rolled key strings, no
-   silently omitted fields.  [run_sweep] fans the distinct
-   (kernel, config, system) jobs of a benchmark sweep across a
+   silently omitted fields.  A benchmark's [plan] resolves, once, what
+   each segment runs on, its cache key and how its result scales;
+   every composition ([run_benchmark], [run_sweep], the serving
+   executor through [plan_seconds]) reads a plan.  [run_sweep] fans the
+   distinct segment simulations of a sweep's plans across a
    Cinnamon_exec.Pool and composes the (deterministic) cached results
    sequentially, so jobs=1 and jobs=N produce identical numbers. *)
 
@@ -137,39 +140,76 @@ let segment_target config sys (s : Specs.segment) =
     (widened sys, { config with Compile_config.progpar = true })
   else (sys, config)
 
-let run_benchmark ?(config = paper_config) ?(verify = false) sys (b : Specs.benchmark) =
+(* Everything about a segment that does not depend on its simulated
+   result, derived once: where it runs, the cache key its simulation is
+   filed under, and how that result composes into the benchmark. *)
+type segment_plan = {
+  sp_segment : Specs.segment;
+  sp_kernel : string;
+  sp_system : system; (* effective: possibly widened *)
+  sp_config : Compile_config.t; (* effective: progpar forced when widened *)
+  sp_key : Exec.Cache_key.t;
+  sp_scale : float; (* repeats × waves of parallel instances over the groups *)
+  sp_occupancy : float;
+}
+
+type plan = { pl_system : system; pl_bench : Specs.benchmark; pl_segments : segment_plan list }
+
+let plan ?(config = paper_config) sys (b : Specs.benchmark) =
+  let segment (s : Specs.segment) =
+    let eff_sys, eff_config = segment_target config sys s in
+    let waves = Cinnamon_util.Bitops.cdiv s.Specs.instances eff_sys.groups in
+    {
+      sp_segment = s;
+      sp_kernel = Specs.kernel_name s.Specs.kernel;
+      sp_system = eff_sys;
+      sp_config = eff_config;
+      sp_key = cache_key ~config:eff_config eff_sys s.Specs.kernel;
+      sp_scale = Float.of_int (s.Specs.repeats * waves);
+      (* fraction of the machine's groups actually busy, averaged over
+         the waves — idle groups de-rate reported utilization (the
+         paper's Fig. 15 narrow-section effect) *)
+      sp_occupancy =
+        Float.of_int s.Specs.instances /. Float.of_int (waves * eff_sys.groups)
+        *. (Float.of_int (eff_sys.groups * eff_sys.group_chips) /. Float.of_int sys.sim.SC.chips);
+    }
+  in
+  { pl_system = sys; pl_bench = b; pl_segments = List.map segment b.Specs.segments }
+
+let simulate_segment ?(verify = false) sp =
+  Exec.Result_cache.find_or_compute ~key:sp.sp_key (fun () ->
+      compile_and_simulate ~config:sp.sp_config ~verify sp.sp_system sp.sp_segment.Specs.kernel)
+
+let segment_seconds sp (r : Sim.result) = sp.sp_scale *. r.Sim.seconds
+
+(* The warm serving path: the benchmark's seconds, summed in segment
+   order exactly as [run_plan] sums them, without its records or spans. *)
+let plan_seconds p =
+  List.fold_left (fun a sp -> a +. segment_seconds sp (simulate_segment sp)) 0.0 p.pl_segments
+
+let run_plan ?verify p =
+  let sys = p.pl_system and b = p.pl_bench in
   Tel.Span.with_ ~cat:"runner" "run_benchmark"
     ~args:[ ("bench", Tel.Str b.Specs.bench_name); ("system", Tel.Str sys.sys_name) ]
   @@ fun () ->
   let segments =
     List.map
-      (fun (s : Specs.segment) ->
+      (fun sp ->
+        let s = sp.sp_segment in
         Tel.Span.with_ ~cat:"runner" "segment"
           ~args:
-            [ ("kernel", Tel.Str (Specs.kernel_name s.Specs.kernel));
-              ("instances", Tel.Int s.Specs.instances); ("repeats", Tel.Int s.Specs.repeats) ]
+            [ ("kernel", Tel.Str sp.sp_kernel); ("instances", Tel.Int s.Specs.instances);
+              ("repeats", Tel.Int s.Specs.repeats) ]
         @@ fun () ->
-        let eff_sys, eff_config = segment_target config sys s in
-        let r = simulate_kernel ~config:eff_config ~verify eff_sys s.Specs.kernel in
-        (* waves of parallel instances over the available groups *)
-        let waves = Cinnamon_util.Bitops.cdiv s.Specs.instances eff_sys.groups in
-        let seconds = Float.of_int (s.Specs.repeats * waves) *. r.Sim.seconds in
-        (* fraction of the machine's groups actually busy, averaged over
-           the waves — idle groups de-rate reported utilization (the
-           paper's Fig. 15 narrow-section effect) *)
-        let occupancy =
-          Float.of_int s.Specs.instances /. Float.of_int (waves * eff_sys.groups)
-          *. (Float.of_int (eff_sys.groups * eff_sys.group_chips) /. Float.of_int sys.sim.SC.chips)
-        in
-        let scale_util u =
-          { Sim.compute = u.Sim.compute *. occupancy;
-            memory = u.Sim.memory *. occupancy;
-            network = u.Sim.network *. occupancy }
-        in
+        let r = simulate_segment ?verify sp in
+        let seconds = segment_seconds sp r in
+        let occupancy = sp.sp_occupancy in
         Tel.Span.add_args [ ("sim_seconds", Tel.Float seconds) ];
-        { seg_kernel = Specs.kernel_name s.Specs.kernel; seg_seconds = seconds;
-          seg_util = scale_util r.Sim.util })
-      b.Specs.segments
+        { seg_kernel = sp.sp_kernel; seg_seconds = seconds;
+          seg_util = { Sim.compute = r.Sim.util.Sim.compute *. occupancy;
+                       memory = r.Sim.util.Sim.memory *. occupancy;
+                       network = r.Sim.util.Sim.network *. occupancy } })
+      p.pl_segments
   in
   let total = List.fold_left (fun a s -> a +. s.seg_seconds) 0.0 segments in
   (* time-weighted utilization over segments *)
@@ -186,6 +226,8 @@ let run_benchmark ?(config = paper_config) ?(verify = false) sys (b : Specs.benc
                 network = weighted (fun u -> u.Sim.network) };
   }
 
+let run_benchmark ?config ?verify sys b = run_plan ?verify (plan ?config sys b)
+
 (* --------------------------------------------------- parallel sweeps *)
 
 type kernel_time = {
@@ -200,42 +242,41 @@ type sweep = {
   sw_jobs : int; (* worker count actually used *)
 }
 
-(* The distinct (system, config, kernel) compile+simulate jobs behind a
-   sweep, deduplicated by structural cache key in first-appearance
-   order.  These are the units fanned across the pool; composing the
-   benchmarks afterwards touches only the (warm) cache. *)
-let sweep_targets config pairs =
+(* The distinct segment simulations behind a sweep's plans,
+   deduplicated by structural cache key in first-appearance order.
+   These are the units fanned across the pool; composing the benchmarks
+   afterwards touches only the (warm) cache. *)
+let sweep_targets plans =
   let seen = Hashtbl.create 64 in
   List.concat_map
-    (fun (sys, (b : Specs.benchmark)) ->
-      List.filter_map
-        (fun (s : Specs.segment) ->
-          let eff_sys, eff_config = segment_target config sys s in
-          let key = Exec.Cache_key.to_string (cache_key ~config:eff_config eff_sys s.Specs.kernel) in
-          if Hashtbl.mem seen key then None
+    (fun p ->
+      List.filter
+        (fun sp ->
+          let key = Exec.Cache_key.to_string sp.sp_key in
+          if Hashtbl.mem seen key then false
           else begin
             Hashtbl.add seen key ();
-            Some (eff_sys, eff_config, s.Specs.kernel)
+            true
           end)
-        b.Specs.segments)
-    pairs
+        p.pl_segments)
+    plans
 
-let run_sweep ?(config = paper_config) ?(jobs = 0) ?(verify = false) pairs =
-  let targets = sweep_targets config pairs in
+let run_sweep ?config ?(jobs = 0) ?verify pairs =
+  let plans = List.map (fun (sys, b) -> plan ?config sys b) pairs in
   let pool = Exec.Pool.create ~jobs () in
   let kernel_results =
     Fun.protect
       ~finally:(fun () -> Exec.Pool.shutdown pool)
       (fun () ->
         Exec.Pool.map pool
-          (fun (sys, cfg, kernel) ->
-            let r = simulate_kernel ~config:cfg ~verify sys kernel in
-            { kt_kernel = Specs.kernel_name kernel; kt_system = sys.sys_name; kt_result = r })
-          targets)
+          (fun sp ->
+            { kt_kernel = sp.sp_kernel; kt_system = sp.sp_system.sys_name;
+              kt_result = simulate_segment ?verify sp })
+          (sweep_targets plans))
   in
   (* All kernels are cached now; composition is cheap and sequential,
      hence identical for every jobs count. *)
-  let results = List.map (fun (sys, b) -> run_benchmark ~config sys b) pairs in
+  let results = List.map (fun p -> run_plan p) plans in
   { sw_results = results; sw_kernels = kernel_results; sw_jobs = Exec.Pool.jobs pool }
 
 let run_benchmarks ?config ?jobs ?verify pairs = (run_sweep ?config ?jobs ?verify pairs).sw_results

@@ -66,8 +66,29 @@ type bench_result = {
   br_util : Sim.utilization;  (** time-weighted, idle-group de-rated *)
 }
 
+(** [run_benchmark ?config ?verify sys b] composes [b]'s segment times
+    on [sys] from its {!plan}. *)
 val run_benchmark :
   ?config:Compile_config.t -> ?verify:bool -> system -> Specs.benchmark -> bench_result
+
+(** {1 Plans}
+
+    A benchmark's composition, resolved once: for each segment the
+    effective system and configuration it runs under, its rendered
+    {!Cinnamon_exec.Cache_key}, and the [repeats × waves] multiplier and
+    group occupancy its simulated result is scaled by.  {!run_benchmark}
+    and {!run_sweep} compose from a plan; a server holding a plan
+    charges a warm run one cache lookup per segment. *)
+
+type plan
+
+val plan : ?config:Compile_config.t -> system -> Specs.benchmark -> plan
+
+(** [plan_seconds p] is [(run_benchmark ?config sys b).br_seconds] for
+    the [p = plan ?config sys b], bit for bit, with the same
+    result-cache lookups (one per segment, simulating on a miss); it
+    builds no per-segment records and opens no spans. *)
+val plan_seconds : plan -> float
 
 (** {1 Parallel sweeps} *)
 
