@@ -557,6 +557,24 @@ let test_bench_input_typed () =
       );
     ]
 
+(* The serving benches' documents do not depend on the pool width: one
+   domain is the sequential reference.  The [jobs] field echoes the
+   configured width, so every document is rendered with it zeroed. *)
+let test_bench_output_independent_of_jobs () =
+  let same what widths render =
+    let reference = render 1 in
+    List.iter
+      (fun jobs ->
+        Alcotest.(check string) (Printf.sprintf "%s at --jobs %d" what jobs) reference (render jobs))
+      widths
+  in
+  same "tenant_serving" [ 2; 3 ] (fun jobs ->
+      let r = Tenant_bench.run { Tenant_bench.quick with Tenant_bench.tb_jobs = jobs } in
+      Cinnamon_util.Json.to_string (Tenant_bench.result_json { r with Tenant_bench.tbr_jobs = 0 }));
+  same "serve_fleet" [ 2 ] (fun jobs ->
+      let r = Fleet_bench.run { Fleet_bench.quick with Fleet_bench.fb_jobs = jobs } in
+      Cinnamon_util.Json.to_string (Fleet_bench.result_json { r with Fleet_bench.fbr_jobs = 0 }))
+
 let suite =
   ( "fleet",
     [
@@ -580,4 +598,6 @@ let suite =
       Alcotest.test_case "scale-down drains gracefully" `Quick test_scale_down_drains_gracefully;
       Alcotest.test_case "bit-identical across jobs" `Quick test_fleet_bit_identical_across_jobs;
       Alcotest.test_case "bad bench input is a typed error" `Quick test_bench_input_typed;
+      Alcotest.test_case "bench output independent of jobs" `Quick
+        test_bench_output_independent_of_jobs;
     ] )
