@@ -533,6 +533,98 @@ let test_executor_unknown_name () =
   Alcotest.(check string) "fails again the same way" (Cinnamon_util.Error.to_string first)
     (Cinnamon_util.Error.to_string (failure ()))
 
+(* --- tracing off costs nothing; the queue's depth is its length ------- *)
+
+module Tel = Cinnamon_telemetry.Telemetry
+
+(* With the sink off, a replay that completes, sheds and rejects
+   requests on two nodes leaves no event behind. *)
+let test_replay_untraced_records_nothing () =
+  Alcotest.(check bool) "sink disabled" false (Tel.enabled ());
+  let before = Tel.event_count () in
+  let calls = ref 0 in
+  let arrivals =
+    List.init 40 (fun id ->
+        let arrival_s = 0.1 *. Float.of_int id in
+        let slack = if id mod 2 = 0 then 0.5 else 100.0 in
+        req ~deadline_s:(arrival_s +. slack) ~id ~arrival_s ())
+  in
+  let capacity = { Node.default_capacity with Node.workers = 1; queue_capacity = 4; max_batch = 2 } in
+  let _, rs =
+    run_collecting
+      { Fleet.default_config with Fleet.fc_nodes = 2 }
+      ~make_node:(fun _ -> Node.make ~capacity ~execute:(const_executor ~service:1.0 calls) ())
+      ~arrivals
+  in
+  List.iter
+    (fun outcome ->
+      Alcotest.(check bool) ("some request " ^ outcome) true (count outcome rs > 0))
+    [ "completed"; "shed"; "rejected" ];
+  Alcotest.(check int) "no events recorded" before (Tel.event_count ())
+
+type admission_op = Admit of int * float * float | Take of int * int | Shed_at of float
+
+let admission_op_to_string = function
+  | Admit (p, a, d) -> Printf.sprintf "admit prio %d @%g deadline +%g" p a d
+  | Take (limit, m) -> Printf.sprintf "take %d of ids = 0 mod %d" limit (m + 1)
+  | Shed_at s -> Printf.sprintf "shed @%g" s
+
+(* After any sequence of admissions, takes and sheds, the queue's
+   depth is the length of its list, and admission refuses as full
+   exactly when that length has reached the capacity. *)
+let test_admission_depth_is_length =
+  let gen =
+    let open QCheck2.Gen in
+    let time = map (fun q -> Float.of_int q /. 4.0) (int_bound 40) in
+    list_size (int_range 1 80)
+      (frequency
+         [
+           (5, map3 (fun p a d -> Admit (p, a, d)) (int_bound 2) time time);
+           (2, map2 (fun limit m -> Take (limit, m)) (int_bound 4) (int_bound 2));
+           (2, map (fun s -> Shed_at s) time);
+         ])
+  in
+  let capacity = 6 in
+  let prop ops =
+    let q = Admission.create ~capacity in
+    let next_id = ref 0 in
+    List.for_all
+      (fun op ->
+        let length_before = List.length (Admission.queued q) in
+        let refused_full =
+          match op with
+          | Admit (p, arrival_s, d) -> (
+            let priority = match p with 0 -> Request.High | 1 -> Request.Normal | _ -> Request.Low in
+            incr next_id;
+            match
+              Admission.admit q ~now_s:arrival_s
+                (req ~priority ~deadline_s:(arrival_s +. d) ~id:!next_id ~arrival_s ())
+            with
+            | Error (Admission.Queue_full _) -> Some true
+            | _ -> Some false)
+          | Take (limit, m) ->
+            ignore
+              (Admission.take q (fun (r : Request.t) -> r.Request.req_id mod (m + 1) = 0) ~limit);
+            None
+          | Shed_at now_s ->
+            ignore (Admission.shed_expired q ~now_s);
+            None
+        in
+        let depth = Admission.depth q and length = List.length (Admission.queued q) in
+        if depth <> length then
+          QCheck2.Test.fail_reportf "%s: depth %d, queued %d" (admission_op_to_string op) depth
+            length
+        else if refused_full <> None && refused_full <> Some (length_before >= capacity) then
+          QCheck2.Test.fail_reportf "%s: full refusal at length %d" (admission_op_to_string op)
+            length_before
+        else true)
+      ops
+  in
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:300 ~name:"admission depth = length of queued"
+       ~print:(fun ops -> String.concat "\n" (List.map admission_op_to_string ops))
+       gen prop)
+
 let suite =
   ( "serve",
     [
@@ -567,4 +659,7 @@ let suite =
         test_executor_matches_run_benchmark;
       Alcotest.test_case "executor unknown benchmark" `Quick test_executor_unknown_name;
       Alcotest.test_case "warm executor allocation" `Quick test_warm_executor_allocation;
+      Alcotest.test_case "untraced replay records nothing" `Quick
+        test_replay_untraced_records_nothing;
+      test_admission_depth_is_length;
     ] )
