@@ -3,7 +3,8 @@
    The queue is kept sorted in dispatch order (priority class, then
    FIFO), so the batcher's head-of-line choice is O(1) and admission is
    O(depth) — fine at serving-simulator scale, where depth is bounded
-   by [capacity].  Every way a request can fail to be served from here
+   by [capacity].  The depth itself is a field, kept by every call
+   that changes the list: the router reads it on every arrival.  Every way a request can fail to be served from here
    is a value ([error] on admission, the [shed_expired] return for
    queued requests whose deadline passed): nothing is silently
    dropped. *)
@@ -27,15 +28,16 @@ let error_to_string = function
 type t = {
   capacity : int;
   mutable items : Request.t list; (* sorted by Request.compare_order *)
+  mutable depth : int; (* List.length items *)
   mutable closed : bool;
 }
 
 let create ~capacity =
   if capacity < 1 then invalid_arg "Admission.create: capacity must be >= 1";
-  { capacity; items = []; closed = false }
+  { capacity; items = []; depth = 0; closed = false }
 
 let capacity t = t.capacity
-let depth t = List.length t.items
+let depth t = t.depth
 let is_empty t = t.items = []
 let close t = t.closed <- true
 let is_closed t = t.closed
@@ -44,13 +46,14 @@ let admit t ~now_s (r : Request.t) =
   if t.closed then Error Closed
   else if Request.expired r ~now_s then
     Error (Expired { deadline_s = r.Request.req_deadline_s; now_s })
-  else if depth t >= t.capacity then Error (Queue_full { capacity = t.capacity })
+  else if t.depth >= t.capacity then Error (Queue_full { capacity = t.capacity })
   else begin
     let rec ins = function
       | [] -> [ r ]
       | x :: rest as l -> if Request.compare_order r x < 0 then r :: l else x :: ins rest
     in
     t.items <- ins t.items;
+    t.depth <- t.depth + 1;
     Ok ()
   end
 
@@ -65,6 +68,7 @@ let shed_expired t ~now_s =
   else begin
     let expired, keep = List.partition (fun r -> Request.expired r ~now_s) t.items in
     t.items <- keep;
+    t.depth <- t.depth - List.length expired;
     expired
   end
 
@@ -88,5 +92,6 @@ let take t pred ~limit =
         ([], []) t.items
     in
     t.items <- List.rev keep;
+    t.depth <- t.depth - !taken;
     List.rev out
   end

@@ -47,6 +47,7 @@ type t = {
   slo : Slo.t;
   respond : Response.t -> unit;
   mutable inflight : inflight list; (* sorted by if_finish_s *)
+  mutable inflight_requests : int; (* requests in [inflight]'s batches *)
   mutable free : int;
 }
 
@@ -58,6 +59,7 @@ let create ~node ~respond =
     slo = Slo.create ();
     respond;
     inflight = [];
+    inflight_requests = 0;
     free = node.Node.capacity.Node.workers;
   }
 
@@ -66,11 +68,8 @@ let name t = t.node.Node.name
 let slo t = t.slo
 let queue_depth t = Admission.depth t.q
 
-let inflight_requests t =
-  List.fold_left (fun n e -> n + Batcher.size e.if_batch) 0 t.inflight
-
 (* Router's least-loaded signal: work accepted but not yet finished. *)
-let load t = queue_depth t + inflight_requests t
+let load t = queue_depth t + t.inflight_requests
 let has_room t = (not (Admission.is_closed t.q)) && queue_depth t < Admission.capacity t.q
 let is_closed t = Admission.is_closed t.q
 let close t = if not (Admission.is_closed t.q) then Admission.close t.q
@@ -84,24 +83,26 @@ let respond t (req : Request.t) (outcome : Response.outcome) =
       ~latency_s:(c.finished_s -. req.Request.req_arrival_s)
       ~met:(c.finished_s <= req.Request.req_deadline_s);
     Tel.Counter.incr c_completed;
-    Tel.emit_complete ~cat:"serve" ~pid:serve_pid
-      ~tid:(Request.priority_rank req.Request.req_priority)
-      ~ts:(req.Request.req_arrival_s *. 1e6)
-      ~dur:((c.finished_s -. req.Request.req_arrival_s) *. 1e6)
-      ~args:
-        [ ("bench", Tel.Str req.Request.req_bench); ("system", Tel.Str req.Request.req_system);
-          ("node", Tel.Str t.node.Node.name); ("batch", Tel.Int c.batch_id);
-          ("deadline_met", Tel.Str (if Response.met_deadline resp then "yes" else "no")) ]
-      (Printf.sprintf "%s@%s" req.Request.req_bench req.Request.req_system)
+    if Tel.enabled () then
+      Tel.emit_complete ~cat:"serve" ~pid:serve_pid
+        ~tid:(Request.priority_rank req.Request.req_priority)
+        ~ts:(req.Request.req_arrival_s *. 1e6)
+        ~dur:((c.finished_s -. req.Request.req_arrival_s) *. 1e6)
+        ~args:
+          [ ("bench", Tel.Str req.Request.req_bench); ("system", Tel.Str req.Request.req_system);
+            ("node", Tel.Str t.node.Node.name); ("batch", Tel.Int c.batch_id);
+            ("deadline_met", Tel.Str (if Response.met_deadline resp then "yes" else "no")) ]
+        (Printf.sprintf "%s@%s" req.Request.req_bench req.Request.req_system)
   | Response.Rejected e ->
     Slo.observe_rejected t.slo e;
     Tel.Counter.incr c_rejected
   | Response.Shed s ->
     Slo.observe_shed t.slo;
     Tel.Counter.incr c_shed;
-    Tel.emit_instant ~cat:"serve" ~pid:serve_pid
-      ~tid:(Request.priority_rank req.Request.req_priority)
-      ~ts:(s.shed_s *. 1e6) "shed"
+    if Tel.enabled () then
+      Tel.emit_instant ~cat:"serve" ~pid:serve_pid
+        ~tid:(Request.priority_rank req.Request.req_priority)
+        ~ts:(s.shed_s *. 1e6) "shed"
   | Response.Failed _ ->
     Slo.observe_failed t.slo;
     Tel.Counter.incr c_failed);
@@ -147,17 +148,21 @@ let form_batches t ~now_s ~next_batch_id =
 
 (* One executor call per batch, with in-place retries on Transient.
    Touches no engine state, so the caller may run it on a pool worker
-   — including batches from many engines in one Pool.map. *)
+   — including batches from many engines in one Pool.map.  The span and
+   its arguments are built only while tracing. *)
 let execute t ~now_s (b : Batcher.batch) : exec_outcome =
   let max_attempts = t.node.Node.capacity.Node.max_attempts in
-  let rec attempt k =
-    match
+  let call k =
+    if Tel.enabled () then
       Tel.Span.with_ ~cat:"serve" "serve.execute"
         ~args:
           [ ("key", Tel.Str b.Batcher.batch_key); ("size", Tel.Int (Batcher.size b));
             ("node", Tel.Str t.node.Node.name); ("attempt", Tel.Int k) ]
         (fun () -> t.node.Node.execute ~now_s b)
-    with
+    else t.node.Node.execute ~now_s b
+  in
+  let rec attempt k =
+    match call k with
     | s when Float.is_nan s || s < 0.0 ->
       Error (k, Printf.sprintf "executor returned invalid service time %g" s)
     | s -> Ok (s, k)
@@ -173,7 +178,8 @@ let insert_inflight t entry =
     | [] -> [ entry ]
     | x :: rest as l -> if entry.if_finish_s < x.if_finish_s then entry :: l else x :: ins rest
   in
-  t.inflight <- ins t.inflight
+  t.inflight <- ins t.inflight;
+  t.inflight_requests <- t.inflight_requests + Batcher.size entry.if_batch
 
 let commit t ~now_s ?(extra_service_s = 0.0) (b : Batcher.batch) (res : exec_outcome) =
   Slo.observe_batch t.slo ~size:(Batcher.size b);
@@ -207,6 +213,7 @@ let complete_due t ~now_s =
       t.free <- t.free + 1;
       let b = entry.if_batch in
       let size = Batcher.size b in
+      t.inflight_requests <- t.inflight_requests - size;
       List.iter
         (fun r ->
           respond t r

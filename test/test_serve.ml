@@ -562,7 +562,42 @@ let test_replay_untraced_records_nothing () =
     [ "completed"; "shed"; "rejected" ];
   Alcotest.(check int) "no events recorded" before (Tel.event_count ())
 
-type admission_op = Admit of int * float * float | Take of int * int | Shed_at of float
+(* With the sink off, completing a request costs its response and its
+   SLO sample: no trace event's arguments or name are built for it. *)
+let test_completion_allocation () =
+  let capacity =
+    { Node.default_capacity with Node.workers = 4; queue_capacity = 64; max_batch = 8 }
+  in
+  let completed = ref 0 in
+  let e =
+    Engine.create
+      ~node:(Node.make ~capacity ~execute:(fun ~now_s:_ _ -> 1.0) ())
+      ~respond:(fun _ -> incr completed)
+  in
+  let next_batch_id = ref 0 and words = ref 0.0 and counted = ref 0 in
+  for round = 0 to 19 do
+    let now_s = 10.0 *. Float.of_int round in
+    for k = 0 to 31 do
+      Engine.offer e ~now_s (req ~id:((32 * round) + k) ~arrival_s:now_s ())
+    done;
+    List.iter
+      (fun b -> Engine.commit e ~now_s b (Engine.execute e ~now_s b))
+      (Engine.form_batches e ~now_s ~next_batch_id);
+    let before_n = !completed and before = Gc.minor_words () in
+    Engine.complete_due e ~now_s:(now_s +. 1.0);
+    let after = Gc.minor_words () in
+    (* the first rounds warm up *)
+    if round > 3 then begin
+      words := !words +. (after -. before);
+      counted := !counted + (!completed - before_n)
+    end
+  done;
+  Alcotest.(check int) "every request completed" (16 * 32) !counted;
+  let per_request = !words /. Float.of_int !counted in
+  if per_request >= 24.0 then
+    Alcotest.failf "completing a request: %.1f minor words, expected < 24" per_request
+
+type admission_op =Admit of int * float * float | Take of int * int | Shed_at of float
 
 let admission_op_to_string = function
   | Admit (p, a, d) -> Printf.sprintf "admit prio %d @%g deadline +%g" p a d
@@ -662,4 +697,5 @@ let suite =
       Alcotest.test_case "untraced replay records nothing" `Quick
         test_replay_untraced_records_nothing;
       test_admission_depth_is_length;
+      Alcotest.test_case "completion allocation" `Quick test_completion_allocation;
     ] )
