@@ -10,7 +10,13 @@
 
    Concurrent misses on the same key may both compute; both arrive at
    the same (deterministic) result and the second store is a no-op
-   semantically.  Computation runs outside the lock. *)
+   semantically.  Computation runs outside the lock.
+
+   Lookups are counted twice: process-wide under the lock ([stats]),
+   and per domain in a Domain.DLS copy ([counted] reads it).  A fleet
+   replay that runs as one pool job makes every lookup on its own
+   domain, so its own counts are a delta of that domain's copy even
+   while other replays run beside it. *)
 
 module Sim = Cinnamon_sim.Simulator
 module Json = Cinnamon_util.Json
@@ -25,7 +31,20 @@ type stats = { hits : int; misses : int; disk_hits : int; stores : int }
 let mutex = Mutex.create ()
 let table : (string, Sim.result) Hashtbl.t = Hashtbl.create 64
 let dir_ref : string option ref = ref None
-let stats_ref = ref { hits = 0; misses = 0; disk_hits = 0; stores = 0 }
+let zero = { hits = 0; misses = 0; disk_hits = 0; stores = 0 }
+let stats_ref = ref zero
+let domain_ref : stats ref Domain.DLS.key = Domain.DLS.new_key (fun () -> ref zero)
+
+let hit s = { s with hits = s.hits + 1 }
+let miss s = { s with misses = s.misses + 1 }
+let disk_hit s = { s with disk_hits = s.disk_hits + 1 }
+let store s = { s with stores = s.stores + 1 }
+
+(* The calling domain's copy; the process-wide one is bumped under the
+   lock by the caller. *)
+let count_here bump =
+  let mine = Domain.DLS.get domain_ref in
+  mine := bump !mine
 
 let locked f =
   Mutex.lock mutex;
@@ -181,7 +200,22 @@ let dir () = !dir_ref
 let clear_memory () = locked (fun () -> Hashtbl.reset table)
 
 let stats () = !stats_ref
-let reset_stats () = locked (fun () -> stats_ref := { hits = 0; misses = 0; disk_hits = 0; stores = 0 })
+let reset_stats () = locked (fun () -> stats_ref := zero)
+
+let diff a ~since =
+  {
+    hits = a.hits - since.hits;
+    misses = a.misses - since.misses;
+    disk_hits = a.disk_hits - since.disk_hits;
+    stores = a.stores - since.stores;
+  }
+
+(* This domain's copy is never reset, so a delta of it is exact. *)
+let counted f =
+  let mine = Domain.DLS.get domain_ref in
+  let since = !mine in
+  let v = f () in
+  (v, diff !mine ~since)
 
 let find_or_compute ~key compute =
   let ks = Cache_key.to_string key in
@@ -189,12 +223,13 @@ let find_or_compute ~key compute =
     locked (fun () ->
         match Hashtbl.find_opt table ks with
         | Some r ->
-          stats_ref := { !stats_ref with hits = !stats_ref.hits + 1 };
+          stats_ref := hit !stats_ref;
           Some r
         | None -> None)
   in
   match cached with
   | Some r ->
+    count_here hit;
     Tel.Counter.incr c_hits;
     r
   | None -> (
@@ -203,16 +238,19 @@ let find_or_compute ~key compute =
     match disk_load key with
     | Some r ->
       Tel.Counter.incr c_disk_hits;
+      count_here disk_hit;
       locked (fun () ->
-          stats_ref := { !stats_ref with disk_hits = !stats_ref.disk_hits + 1 };
+          stats_ref := disk_hit !stats_ref;
           Hashtbl.replace table ks r);
       r
     | None ->
       Tel.Counter.incr c_misses;
-      locked (fun () -> stats_ref := { !stats_ref with misses = !stats_ref.misses + 1 });
+      count_here miss;
+      locked (fun () -> stats_ref := miss !stats_ref);
       let r = compute () in
+      count_here store;
       locked (fun () ->
-          stats_ref := { !stats_ref with stores = !stats_ref.stores + 1 };
+          stats_ref := store !stats_ref;
           Hashtbl.replace table ks r);
       disk_store key r;
       r)

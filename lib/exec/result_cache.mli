@@ -24,8 +24,22 @@ val dir : unit -> string option
 (** Drop the in-memory tier (the persistent tier is untouched). *)
 val clear_memory : unit -> unit
 
+(** Process-wide counts: the sum over every domain's lookups since the
+    last {!reset_stats}. *)
 val stats : unit -> stats
+
 val reset_stats : unit -> unit
+
+(** [diff a ~since] is [a - since], field by field: the lookups made
+    between two snapshots of {!stats}. *)
+val diff : stats -> since:stats -> stats
+
+(** [counted f] runs [f ()] and returns its result with the lookups
+    made {e on the calling domain} while it ran.  Each domain keeps its
+    own counts beside the process-wide ones, so a fleet replay run as
+    one pool job, which makes every lookup on its own domain, gets
+    exactly its own counts even while other replays run beside it. *)
+val counted : (unit -> 'a) -> 'a * stats
 
 (** [find_or_compute ~key f] returns the cached result for [key] or
     runs [f] (outside any lock) and caches its result in both tiers.

@@ -93,7 +93,12 @@ val key_hit_rate : result -> float
     first active node, whose engine rejects it with its own typed
     reason ([Queue_full] or [Closed]).  Raises typed [Invalid_input]
     errors on bad counts/penalties and validates the autoscaler config
-    up front. *)
+    up front.
+
+    [pool] fans each dispatch instant's batches across its workers.  A
+    replay that itself runs as a pool job passes none: [Pool.map] may
+    only be called from the domain that created the pool, and without
+    one every batch runs on the replay's own domain. *)
 val run :
   ?pool:Cinnamon_exec.Pool.t ->
   ?on_terminal:(Cinnamon_serve.Response.t -> Cinnamon_serve.Request.t list) ->

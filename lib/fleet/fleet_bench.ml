@@ -23,6 +23,10 @@
    offered rate sized for half the sweep's largest fleet, and reports
    the scaling events (time, direction, node count, reason).
 
+   Every sweep point and demo is an independent replay: they run
+   concurrently, one pool job each, and come back in sweep order, so
+   each curve's efficiency is computed from the ordered results.
+
    Results merge into BENCH_cinnamon.json under ["serve_fleet"],
    preserving every other key in the file. *)
 
@@ -165,7 +169,16 @@ let run cfg =
       tr_tenant_skew = 1.0;
     }
   in
-  let run_point policy kind nodes =
+  (* One replay, run as a pool job: with no pool of its own, every
+     batch and cache lookup happens on the job's domain, so that
+     domain's counts are the replay's own. *)
+  let replay fleet_cfg arrivals =
+    let fr, lookups =
+      Exec.Result_cache.counted (fun () -> Fleet.run fleet_cfg ~make_node ~arrivals ())
+    in
+    (fr, Loadgen.report fr.Fleet.fr_slo ~makespan_s:fr.Fleet.fr_makespan_s ~lookups)
+  in
+  let run_point (policy, kind, nodes) =
     let arrivals = Trace.generate (trace_for kind nodes) ~classes:calibrated in
     let fleet_cfg =
       {
@@ -175,9 +188,7 @@ let run cfg =
         fc_tenancy = tenancy;
       }
     in
-    let since = Exec.Result_cache.stats () in
-    let fr = Fleet.run ~pool fleet_cfg ~make_node ~arrivals () in
-    let report = Loadgen.report fr.Fleet.fr_slo ~makespan_s:fr.Fleet.fr_makespan_s ~since in
+    let fr, report = replay fleet_cfg arrivals in
     {
       pt_policy = Router.policy_name policy;
       pt_shape = kind_name kind;
@@ -189,56 +200,51 @@ let run cfg =
       pt_router = fr.Fleet.fr_router;
     }
   in
-  let points =
+  let sweep =
     List.concat_map
       (fun policy ->
         List.concat_map
-          (fun kind ->
-            let curve = List.map (run_point policy kind) cfg.fb_nodes in
-            let baseline =
-              match curve with [] -> 0.0 | p0 :: _ -> p0.pt_goodput_per_node
-            in
-            List.map
-              (fun p ->
-                {
-                  p with
-                  pt_efficiency =
-                    (if baseline > 0.0 then p.pt_goodput_per_node /. baseline else 0.0);
-                })
-              curve)
+          (fun kind -> List.map (fun nodes -> (policy, kind, nodes)) cfg.fb_nodes)
           cfg.fb_shapes)
       cfg.fb_policies
   in
-  let demos =
-    if not cfg.fb_autoscale then []
-    else
-      List.map
-        (fun kind ->
-          let max_nodes = List.fold_left max 1 cfg.fb_nodes in
-          (* offered load sized for half the largest fleet, starting
-             from one node: the scaler has to grow to keep up *)
-          let target = max 1 (max_nodes / 2) in
-          let arrivals = Trace.generate (trace_for kind target) ~classes:calibrated in
-          let fleet_cfg =
-            {
-              Fleet.fc_nodes = 1;
-              fc_policy = Router.Least_loaded;
-              fc_autoscale =
-                Some { Autoscaler.default with as_min_nodes = 1; as_max_nodes = max_nodes };
-              fc_tenancy = tenancy;
-            }
-          in
-          let since = Exec.Result_cache.stats () in
-          let fr = Fleet.run ~pool fleet_cfg ~make_node ~arrivals () in
-          {
-            sd_shape = kind_name kind;
-            sd_report = Loadgen.report fr.Fleet.fr_slo ~makespan_s:fr.Fleet.fr_makespan_s ~since;
-            sd_events = fr.Fleet.fr_events;
-            sd_nodes_peak = fr.Fleet.fr_nodes_peak;
-            sd_nodes_final = fr.Fleet.fr_nodes_final;
-          })
-        cfg.fb_shapes
+  let points = Exec.Pool.map pool run_point sweep in
+  (* a curve's baseline is its first point, the smallest swept size *)
+  let points =
+    List.map
+      (fun p ->
+        let p0 = List.find (fun q -> q.pt_policy = p.pt_policy && q.pt_shape = p.pt_shape) points in
+        let baseline = p0.pt_goodput_per_node in
+        {
+          p with
+          pt_efficiency = (if baseline > 0.0 then p.pt_goodput_per_node /. baseline else 0.0);
+        })
+      points
   in
+  let run_demo kind =
+    let max_nodes = List.fold_left max 1 cfg.fb_nodes in
+    (* offered load sized for half the largest fleet, starting from one
+       node: the scaler has to grow to keep up *)
+    let target = max 1 (max_nodes / 2) in
+    let arrivals = Trace.generate (trace_for kind target) ~classes:calibrated in
+    let fleet_cfg =
+      {
+        Fleet.fc_nodes = 1;
+        fc_policy = Router.Least_loaded;
+        fc_autoscale = Some { Autoscaler.default with as_min_nodes = 1; as_max_nodes = max_nodes };
+        fc_tenancy = tenancy;
+      }
+    in
+    let fr, report = replay fleet_cfg arrivals in
+    {
+      sd_shape = kind_name kind;
+      sd_report = report;
+      sd_events = fr.Fleet.fr_events;
+      sd_nodes_peak = fr.Fleet.fr_nodes_peak;
+      sd_nodes_final = fr.Fleet.fr_nodes_final;
+    }
+  in
+  let demos = if cfg.fb_autoscale then Exec.Pool.map pool run_demo cfg.fb_shapes else [] in
   {
     fbr_points = points;
     fbr_demos = demos;

@@ -64,9 +64,11 @@ type result = {
   fbr_jobs : int;
 }
 
-(** Calibrate once, then run every sweep point (and the autoscaler
-    demos) on one shared pool.  Raises typed [Invalid_input] errors on
-    empty/invalid sweep parameters. *)
+(** Calibrate once, then replay the sweep points, and then the
+    autoscaler demos, concurrently on one shared pool: each replay is
+    one pool job on its own domain, and results come back in sweep
+    order, so the result does not depend on [fb_jobs].  Raises typed
+    [Invalid_input] errors on empty/invalid sweep parameters. *)
 val run : config -> result
 
 val result_json : result -> Cinnamon_util.Json.t

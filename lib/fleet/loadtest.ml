@@ -147,7 +147,9 @@ let run cfg =
     lr_mode = mode_name cfg.lg_mode;
     lr_rate_rps = offered_rate;
     lr_base_service = List.map (fun (c, s) -> (Loadgen.class_name c, s)) calibrated;
-    lr_report = Loadgen.report fr.Fleet.fr_slo ~makespan_s:fr.Fleet.fr_makespan_s ~since:stats0;
+    lr_report =
+      Loadgen.report fr.Fleet.fr_slo ~makespan_s:fr.Fleet.fr_makespan_s
+        ~lookups:Exec.Result_cache.(diff (stats ()) ~since:stats0);
   }
 
 let result_json r =

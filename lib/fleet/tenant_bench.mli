@@ -3,7 +3,9 @@
     transciphering ingress priced from the real compiled
     [K_transcipher] circuit.  Every routing policy replays the same
     trace, so the per-policy numbers isolate what tenant-key locality
-    buys.  Results merge into [BENCH_cinnamon.json] under
+    buys.  The three replays are independent and run concurrently, one
+    pool job each, on the pool of [tb_jobs] workers that calibration
+    uses; the result does not depend on [tb_jobs].  Results merge into [BENCH_cinnamon.json] under
     ["tenant_serving"]. *)
 
 module CC = Cinnamon_compiler.Compile_config

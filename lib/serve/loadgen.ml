@@ -95,10 +95,7 @@ let pick_priority rng =
   let u = Rng.float rng in
   if u < 0.1 then Request.High else if u < 0.9 then Request.Normal else Request.Low
 
-let report slo ~makespan_s ~since =
-  let open Exec.Result_cache in
-  let now = stats () in
+let report slo ~makespan_s ~(lookups : Exec.Result_cache.stats) =
   Slo.report slo
     ~duration_s:(Float.max makespan_s 1e-9)
-    ~compiles:(now.misses - since.misses)
-    ~cache_hits:(now.hits + now.disk_hits - since.hits - since.disk_hits)
+    ~compiles:lookups.misses ~cache_hits:(lookups.hits + lookups.disk_hits)

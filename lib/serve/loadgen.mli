@@ -52,5 +52,8 @@ val class_picker : Cinnamon_util.Rng.t -> (class_spec * 'a) list -> unit -> clas
 val pick_priority : Cinnamon_util.Rng.t -> Request.priority
 
 (** The SLO report of a finished run, with the compiles and cache hits
-    the result cache counted since [since]. *)
-val report : Slo.t -> makespan_s:float -> since:Cinnamon_exec.Result_cache.stats -> Slo.report
+    among the run's own result-cache [lookups]: a
+    {!Cinnamon_exec.Result_cache.diff} of the process-wide counts for a
+    run that fans out over a pool, {!Cinnamon_exec.Result_cache.counted}
+    for a replay that runs on one domain. *)
+val report : Slo.t -> makespan_s:float -> lookups:Cinnamon_exec.Result_cache.stats -> Slo.report

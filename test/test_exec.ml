@@ -400,6 +400,39 @@ let test_cache_distinct_keys_distinct_entries () =
   let r2 = Result_cache.find_or_compute ~key:k2 (fun () -> fake_result 2) in
   Alcotest.(check bool) "alpha split the cache" true (r1.Sim.cycles <> r2.Sim.cycles)
 
+(* Each domain counts its own lookups beside the process-wide counts:
+   lookups made on other domains do not move the caller's, and the
+   process-wide delta is the sum of every domain's. *)
+let test_cache_counts_per_domain () =
+  let key name = Cache_key.make ~config:(CC.paper ()) ~sim:SC.cinnamon_4 ~kernel:name in
+  let lookup name = ignore (Result_cache.find_or_compute ~key:(key name) (fun () -> fake_result 5)) in
+  lookup "per-domain-warm";
+  let s0 = Result_cache.stats () in
+  let theirs, mine =
+    Result_cache.counted (fun () ->
+        lookup "per-domain-warm";
+        lookup "per-domain-mine";
+        List.init 2 (fun d ->
+            Domain.spawn (fun () ->
+                snd
+                  (Result_cache.counted (fun () ->
+                       for _ = 1 to 3 do
+                         lookup "per-domain-warm"
+                       done;
+                       lookup (Printf.sprintf "per-domain-theirs-%d" d)))))
+        |> List.map Domain.join)
+  in
+  let counts (s : Result_cache.stats) =
+    [ s.Result_cache.hits; s.Result_cache.misses; s.Result_cache.disk_hits; s.Result_cache.stores ]
+  in
+  Alcotest.(check (list int)) "the caller's own lookups" [ 1; 1; 0; 1 ] (counts mine);
+  List.iter
+    (fun s -> Alcotest.(check (list int)) "another domain's lookups" [ 3; 1; 0; 1 ] (counts s))
+    theirs;
+  Alcotest.(check (list int)) "process-wide = sum over domains"
+    (List.fold_left (List.map2 ( + )) (counts mine) (List.map counts theirs))
+    (counts (Result_cache.diff (Result_cache.stats ()) ~since:s0))
+
 (* -------------------------------------------------------------- registry *)
 
 let contains ~needle hay =
@@ -460,6 +493,7 @@ let suite =
       Alcotest.test_case "cache disk round-trip" `Quick test_cache_disk_roundtrip;
       Alcotest.test_case "cache corrupt entry" `Quick test_cache_corrupt_entry_degrades_to_miss;
       Alcotest.test_case "cache key isolation" `Quick test_cache_distinct_keys_distinct_entries;
+      Alcotest.test_case "cache counts per domain" `Quick test_cache_counts_per_domain;
       Alcotest.test_case "registry errors" `Quick test_registry_find_and_error;
       Alcotest.test_case "registry backs specs/runner" `Quick test_registry_backs_specs_errors;
     ] )
