@@ -8,8 +8,9 @@
    buys: the Locality policy routes each request to a node where its
    (tenant, epoch, program) key entry is already HBM-resident, while
    Round_robin scatters tenants and re-streams their multi-GB key sets.
-   The replays share nothing mutable, so they run concurrently, one
-   pool job each, and come back in policy order.
+   The replays share only the domain-safe result cache and plan table,
+   so they run concurrently, one pool job each, and come back in
+   policy order.
 
    Modeled costs are tied to calibrated service times, not wall-clock
    guesses: a cold key-set load costs [tb_key_load_factor] x the mean

@@ -5,8 +5,8 @@
     trace, so the per-policy numbers isolate what tenant-key locality
     buys.  The three replays are independent and run concurrently, one
     pool job each, on the pool of [tb_jobs] workers that calibration
-    uses; the result does not depend on [tb_jobs].  Results merge into [BENCH_cinnamon.json] under
-    ["tenant_serving"]. *)
+    uses; the result does not depend on [tb_jobs].  Results merge into
+    [BENCH_cinnamon.json] under ["tenant_serving"]. *)
 
 module CC = Cinnamon_compiler.Compile_config
 
