@@ -4,10 +4,10 @@
    FIFO), so the batcher's head-of-line choice is O(1) and admission is
    O(depth) — fine at serving-simulator scale, where depth is bounded
    by [capacity].  The depth itself is a field, kept by every call
-   that changes the list: the router reads it on every arrival.  Every way a request can fail to be served from here
-   is a value ([error] on admission, the [shed_expired] return for
-   queued requests whose deadline passed): nothing is silently
-   dropped. *)
+   that changes the list: the router reads it on every arrival.  Every
+   way a request can fail to be served from here is a value ([error] on
+   admission, the [shed_expired] return for queued requests whose
+   deadline passed): nothing is silently dropped. *)
 
 type error =
   | Queue_full of { capacity : int }

@@ -597,7 +597,7 @@ let test_completion_allocation () =
   if per_request >= 24.0 then
     Alcotest.failf "completing a request: %.1f minor words, expected < 24" per_request
 
-type admission_op =Admit of int * float * float | Take of int * int | Shed_at of float
+type admission_op = Admit of int * float * float | Take of int * int | Shed_at of float
 
 let admission_op_to_string = function
   | Admit (p, a, d) -> Printf.sprintf "admit prio %d @%g deadline +%g" p a d
