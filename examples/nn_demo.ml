@@ -17,9 +17,9 @@ let () =
      rejects mismatches at construction time. *)
   let b = Graph.create ~name:"demo-mlp" in
   let x = Graph.input b ~name:"x" ~dim:16 in
-  let h1 = Graph.act b ~label:"relu1" ~coeffs:(Zoo.act_coeffs "relu1" 2)
+  let h1 = Graph.act b ~label:"relu1" ~coeffs:(Zoo.act_coeffs 2)
       (Graph.matmul b ~w:"w1" ~rows:16 ~cols:16 x) in
-  let h2 = Graph.act b ~label:"relu2" ~coeffs:(Zoo.act_coeffs "relu2" 2)
+  let h2 = Graph.act b ~label:"relu2" ~coeffs:(Zoo.act_coeffs 2)
       (Graph.matmul b ~w:"w2" ~rows:16 ~cols:16 h1) in
   let y = Graph.matmul b ~w:"w3" ~rows:8 ~cols:16 h2 in
   Graph.output b ~name:"logits" y;
@@ -30,13 +30,15 @@ let () =
      naive column packing per matrix shape and picks the split. *)
   let plan = Plan.make g in
   Format.printf "%a@." Plan.pp plan;
-  let naive = Plan.make ~policy:Plan.Naive_column g in
-  Format.printf "planned %d rotations vs %d naive-column (%.1fx)@."
-    plan.Plan.pl_rotations naive.Plan.pl_rotations
-    (Float.of_int naive.Plan.pl_rotations /. Float.of_int (max 1 plan.Plan.pl_rotations));
 
-  (* 3. Lower to ciphertext IR and compile for 4 chips. *)
+  (* 3. Lower to ciphertext IR and compile for 4 chips.  The op counts
+     are those of the lowered programs, planned and naive. *)
   let prog = Lower.lower ~plan g in
+  let naive = Lower.lower ~plan:(Plan.make ~policy:Plan.Naive_column g) g in
+  let rotations p = (Cinnamon_ir.Ct_ir.count_ops p).Cinnamon_ir.Ct_ir.n_rotate in
+  Format.printf "planned %d rotations vs %d naive-column (%.1fx)@." (rotations prog)
+    (rotations naive)
+    (Float.of_int (rotations naive) /. Float.of_int (max 1 (rotations prog)));
   let r = Pipeline.compile (Compile_config.paper ~chips:4 ()) prog in
   Format.printf "compiled: %s@." (Pipeline.summary r);
 

@@ -31,8 +31,7 @@ type config = {
   sin_degree : int; (* Chebyshev degree for the scaled sine *)
 }
 
-let default_config ?(slots = 8) ?(k_range = 6.0) ?(sin_degree = 48) () =
-  { slots; k_range; sin_degree }
+let default_config () = { slots = 8; k_range = 6.0; sin_degree = 48 }
 
 (* --- linear-transform matrices ---------------------------------------- *)
 
@@ -40,10 +39,9 @@ let default_config ?(slots = 8) ?(k_range = 6.0) ?(sin_degree = 48) () =
    primitive 2N'-th root of the subring (N' = 2n').  Decode of the
    subring satisfies z = E a + i E b with a,b the low/high coefficient
    halves. *)
-let embedding_matrix ~n ~slots =
+let embedding_matrix ~slots =
   let n' = slots in
   let two_n' = 4 * n' in
-  ignore n;
   let rot = Array.make n' 1 in
   for j = 1 to n' - 1 do
     rot.(j) <- rot.(j - 1) * 5 mod two_n'
@@ -67,7 +65,7 @@ let scale_matrix s m = Array.map (Array.map (C.mul s)) m
 type matrices = { m_fwd : C.t array array; m1 : C.t array array; m2 : C.t array array }
 
 let matrices ~n ~slots =
-  let e = embedding_matrix ~n ~slots in
+  let e = embedding_matrix ~slots in
   let g = n / 2 / slots in
   let norm = 1.0 /. (2.0 *. Float.of_int slots *. Float.of_int g) in
   {

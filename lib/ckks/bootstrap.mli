@@ -11,7 +11,8 @@ type config = {
   sin_degree : int;  (** Chebyshev degree of the scaled sine *)
 }
 
-val default_config : ?slots:int -> ?k_range:float -> ?sin_degree:int -> unit -> config
+(** 8 slots, K' = 6, a degree-48 sine. *)
+val default_config : unit -> config
 
 (** The C2S / S2C linear maps for a given ring and slot count: the
     subring embedding matrix E and its normalized inverses (exposed for

@@ -22,9 +22,8 @@ type env = { c0 : int array; c1 : int array (* ct_id -> poly_id *) }
 (* Ciphertext-ciphertext multiplication (paper Fig. 5 left): four
    pointwise products, relinearization keyswitch of the c1*c1' term,
    folds, and rescales. *)
-let lower_mul ~emit ~e ~env ~stream ~limbs ~ct_id ~out a b =
+let lower_mul ~emit ~env ~stream ~limbs ~ct_id ~out a b =
   let open Poly_ir in
-  ignore e;
   let limbs_in = limbs + 1 in
   let ei op = emit ~stream ~limbs:limbs_in ~ct_id op in
   let er op = emit ~stream ~limbs ~ct_id op in
@@ -75,9 +74,9 @@ let lower (cfg : Compile_config.t) (ct : Ct_ir.t) : Poly_ir.t =
         env.c0.(n.id) <- e (PSub (env.c0.(a), env.c0.(b)));
         env.c1.(n.id) <- e (PSub (env.c1.(a), env.c1.(b)))
       | Ct_ir.Mul (a, b) ->
-        lower_mul ~emit ~e ~env ~stream ~limbs ~ct_id:n.Ct_ir.id ~out:n.id a b
+        lower_mul ~emit ~env ~stream ~limbs ~ct_id:n.Ct_ir.id ~out:n.id a b
       | Ct_ir.Square a ->
-        lower_mul ~emit ~e ~env ~stream ~limbs ~ct_id:n.Ct_ir.id ~out:n.id a a
+        lower_mul ~emit ~env ~stream ~limbs ~ct_id:n.Ct_ir.id ~out:n.id a a
       | Ct_ir.MulPlain (a, p) ->
         let limbs_in = limbs + 1 in
         let ei op = emit ~stream ~limbs:limbs_in ~ct_id:n.Ct_ir.id op in

@@ -23,16 +23,18 @@ let program ?(top_level = 51) ?(boot_level = 13) f =
   Ct_ir.finish p.b
 
 let emit p op = { prog = p; id = Ct_ir.emit p.b op }
-let same p a b = if a.prog != p then invalid_arg "Dsl: mixed programs" else ignore b
+
+(* Ids are per builder: a value of another program would be wired to
+   whatever this builder holds under the same id. *)
+let emit2 a b op =
+  if b.prog != a.prog then
+    Cinnamon_util.Error.fail Cinnamon_util.Error.Invalid_input "Dsl: operands of different programs";
+  emit a.prog op
 
 let input p name = emit p (Ct_ir.Input name)
-
-let add a b =
-  same a.prog a b;
-  emit a.prog (Ct_ir.Add (a.id, b.id))
-
-let sub a b = emit a.prog (Ct_ir.Sub (a.id, b.id))
-let mul a b = emit a.prog (Ct_ir.Mul (a.id, b.id))
+let add a b = emit2 a b (Ct_ir.Add (a.id, b.id))
+let sub a b = emit2 a b (Ct_ir.Sub (a.id, b.id))
+let mul a b = emit2 a b (Ct_ir.Mul (a.id, b.id))
 let square a = emit a.prog (Ct_ir.Square a.id)
 let mul_plain a name = emit a.prog (Ct_ir.MulPlain (a.id, name))
 let add_plain a name = emit a.prog (Ct_ir.AddPlain (a.id, name))
@@ -151,7 +153,8 @@ let poly_eval v ~deg ~name =
   in
   combine 0 (1 lsl n_giant) n_giant
 
-(* Newton-Raphson reciprocal (division, paper §6.2 BERT). *)
+(* Newton-Raphson reciprocal (division, paper §6.2 BERT): the initial
+   MulConst, then mul, MulConst and mul per iteration. *)
 let nr_inverse v ~iters =
   let x = ref (add_const (mul_const v 0.0) 1.0) in
   for _ = 1 to iters do
@@ -161,7 +164,8 @@ let nr_inverse v ~iters =
   done;
   !x
 
-(* Newton-Raphson inverse square root. *)
+(* Newton-Raphson inverse square root: the initial MulConst, then
+   square, mul, MulConst and mul per iteration. *)
 let nr_inv_sqrt v ~iters =
   let x = ref (add_const (mul_const v 0.0) 1.0) in
   for _ = 1 to iters do

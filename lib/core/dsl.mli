@@ -26,6 +26,10 @@ val program : ?top_level:int -> ?boot_level:int -> (t -> unit) -> Ct_ir.t
 (** A fresh encrypted input, by name. *)
 val input : t -> string -> ct
 
+(** The two-operand ops ({!add}, {!sub}, {!mul}) raise
+    [Cinnamon_util.Error.Error] ([Invalid_input]) when their operands
+    come from different programs. *)
+
 val add : ct -> ct -> ct
 val sub : ct -> ct -> ct
 
@@ -85,8 +89,10 @@ val bsgs_matvec : ?g:int -> ct -> diagonals:int -> name:string -> ct
     ["name.cI"] — the structural shape of EvalMod / GELU / sigmoid. *)
 val poly_eval : ct -> deg:int -> name:string -> ct
 
-(** Newton–Raphson reciprocal (division), 2 levels per iteration. *)
+(** Newton–Raphson reciprocal (division): 1 + 3·[iters] levels (the
+    initial guess's [mul_const], then two products and a [mul_const]
+    per iteration). *)
 val nr_inverse : ct -> iters:int -> ct
 
-(** Newton–Raphson inverse square root, 4 levels per iteration. *)
+(** Newton–Raphson inverse square root: 1 + 4·[iters] levels. *)
 val nr_inv_sqrt : ct -> iters:int -> ct

@@ -37,7 +37,7 @@ let vector b name =
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Binding: no vector %S" name)
 
-let random ?(seed = 42) ?(amplitude = 1.0) (g : Graph.t) =
+let random ?(seed = 42) (g : Graph.t) =
   let rng = Cinnamon_util.Rng.create ~seed in
   let u () = (2.0 *. Cinnamon_util.Rng.float rng) -. 1.0 in
   let b = create () in
@@ -45,10 +45,10 @@ let random ?(seed = 42) ?(amplitude = 1.0) (g : Graph.t) =
     (fun (n : Graph.node) ->
       match n.Graph.op with
       | Graph.Matmul { w; rows; cols; _ } ->
-        let a = amplitude /. sqrt (Float.of_int cols) in
+        let a = 1.0 /. sqrt (Float.of_int cols) in
         set_matrix b w (Array.init rows (fun _ -> Array.init cols (fun _ -> a *. u ())))
       | Graph.Conv2d { w; height; width; fold; _ } ->
-        let a = amplitude /. Float.of_int (9 * fold) in
+        let a = 1.0 /. Float.of_int (9 * fold) in
         for t = 0 to 8 do
           set_vector b
             (Printf.sprintf "%s.w%d" w t)

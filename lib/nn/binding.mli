@@ -19,9 +19,9 @@ type t
 val create : unit -> t
 
 (** Deterministically fill every weight the graph needs: matmul entries
-    uniform in [±amplitude/sqrt cols], conv taps in
-    [±amplitude/(9 fold)], gammas near 1. *)
-val random : ?seed:int -> ?amplitude:float -> Graph.t -> t
+    uniform in [±1/sqrt cols], conv taps in [±1/(9 fold)], gammas near
+    1. *)
+val random : ?seed:int -> Graph.t -> t
 
 (** Slot-vector plaintext operands for a lowered program, under the
     packing decisions of [plan].  Raises [Invalid_argument] if a

@@ -9,7 +9,6 @@
 type weights = {
   w_rotate : float;
   w_rotate_hoisted : float;
-  w_keyswitch : float;
   w_pmult : float;
   w_add : float;
   w_level : float;
@@ -19,7 +18,6 @@ let default =
   {
     w_rotate = 1.0;
     w_rotate_hoisted = 0.35;
-    w_keyswitch = 1.0;
     w_pmult = 0.08;
     w_add = 0.01;
     w_level = 0.05;

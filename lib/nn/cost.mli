@@ -16,7 +16,6 @@ type weights = {
   w_rotate : float;  (** full rotation keyswitch (= 1.0 by definition) *)
   w_rotate_hoisted : float;
       (** marginal rotation inside a hoisted batch (shared decomposition) *)
-  w_keyswitch : float;  (** relinearization keyswitch (ct-ct mul/square) *)
   w_pmult : float;  (** plaintext multiplication (raw or rescaling) *)
   w_add : float;  (** ciphertext addition *)
   w_level : float;  (** pressure per multiplicative level consumed *)
@@ -26,12 +25,10 @@ val default : weights
 
 type split = { n1 : int; n2 : int  (** n1 babies x n2 giants, n1*n2 >= diagonals *) }
 
-(** Cost of a hoisted batch of [k] rotations of one ciphertext: the
-    first pays a full keyswitch, the rest the marginal hoisted rate. *)
-val hoisted_batch : weights -> int -> float
-
 (** Cost of a diagonal-packed BSGS matvec with [diagonals] extended
-    diagonals split as [n1] babies. *)
+    diagonals split as [n1] babies: the babies are one hoisted batch
+    (the first pays a full keyswitch, the rest the marginal hoisted
+    rate), each giant a full keyswitch. *)
 val bsgs_units : weights -> diagonals:int -> n1:int -> float
 
 (** Cost of the naive column packing of an [rows x cols] matmul: one

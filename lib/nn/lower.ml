@@ -79,9 +79,47 @@ let sources (n : Graph.node) =
   | Graph.Layernorm { src; _ } -> [ src ]
   | Graph.Mul (a, b) | Graph.Add (a, b) -> [ a; b ]
 
+(* Emit node [n]'s routine into [p], reading operand values through
+   [get]; [None] for an output.  Both the real emission and {!measure}
+   call this. *)
+let emit_node plan p get (n : Graph.node) =
+  match n.Graph.op with
+  | Graph.Input { name } -> Some (Dsl.input p name)
+  | Graph.Output { src; name } ->
+    Dsl.output (get src) name;
+    None
+  | Graph.Reshape { src; _ } -> Some (get src)
+  | Graph.Matmul { src; w; rows; cols } -> (
+    match Plan.packing_of plan n.Graph.id with
+    | Some (Plan.Diagonal { Cost.n1; _ }) ->
+      Some (Dsl.bsgs_matvec ~g:n1 (get src) ~diagonals:cols ~name:w)
+    | Some Plan.Column -> Some (column_matvec (get src) ~rows ~cols ~name:w)
+    | None -> invalid_arg "Lower: plan has no packing for a matmul node")
+  | Graph.Conv2d { src; w; width; fold; _ } -> Some (lower_conv (get src) ~w ~width ~fold)
+  | Graph.Act { src; coeffs; _ } -> Some (poly (get src) coeffs)
+  | Graph.Softmax { src; exp_coeffs; iters; _ } ->
+    Some (lower_softmax (get src) ~dim:n.Graph.dim ~exp_coeffs ~iters)
+  | Graph.Layernorm { src; gamma; eps; iters } ->
+    Some (lower_layernorm (get src) ~dim:n.Graph.dim ~gamma ~eps ~iters)
+  | Graph.Mul (a, b) -> Some (Dsl.mul (get a) (get b))
+  | Graph.Add (a, b) -> Some (Dsl.add (get a) (get b))
+
+(* The ct-ct products and the levels node [n]'s routine spends: emit it
+   alone on fresh operands into a throwaway program whose budget no
+   routine can exhaust. *)
+let measure plan (n : Graph.node) =
+  let drop = ref 0 in
+  let prog =
+    Dsl.program ~top_level:max_int (fun p ->
+        let args = List.map (fun src -> (src, Dsl.input p "x")) (sources n) in
+        Option.iter
+          (fun v -> drop := max_int - Dsl.budget v)
+          (emit_node plan p (fun src -> List.assoc src args) n))
+  in
+  ((Cinnamon_ir.Ct_ir.count_ops prog).Cinnamon_ir.Ct_ir.n_mul_ct, !drop)
+
 let lower ?(top_level = 51) ?(boot_level = 21) ?(refresh_depth = 12) ?plan (g : Graph.t) =
   let plan = match plan with Some p -> p | None -> Plan.make g in
-  let step id = List.find (fun (s : Plan.step) -> s.Plan.st_node = id) plan.Plan.pl_steps in
   Dsl.program ~top_level ~boot_level (fun p ->
       let env : (Graph.node_id, Dsl.ct) Hashtbl.t = Hashtbl.create 32 in
       let get id = Hashtbl.find env id in
@@ -95,8 +133,7 @@ let lower ?(top_level = 51) ?(boot_level = 21) ?(refresh_depth = 12) ?plan (g : 
       let depths : (Graph.node_id, int) Hashtbl.t = Hashtbl.create 32 in
       let depth id = Option.value (Hashtbl.find_opt depths id) ~default:0 in
       let refresh_operands (n : Graph.node) =
-        let s = step n.Graph.id in
-        let inc = s.Plan.st_ct_muls and need = s.Plan.st_levels in
+        let inc, need = measure plan n in
         let base = List.fold_left (fun a src -> max a (depth src)) 0 (sources n) in
         let too_deep = base > 0 && base + inc > refresh_depth in
         List.iter
@@ -114,28 +151,5 @@ let lower ?(top_level = 51) ?(boot_level = 21) ?(refresh_depth = 12) ?plan (g : 
       Array.iter
         (fun (n : Graph.node) ->
           refresh_operands n;
-          let value =
-            match n.Graph.op with
-            | Graph.Input { name } -> Some (Dsl.input p name)
-            | Graph.Output { src; name } ->
-              Dsl.output (get src) name;
-              None
-            | Graph.Reshape { src; _ } -> Some (get src)
-            | Graph.Matmul { src; w; rows; cols } -> (
-              match Plan.packing_of plan n.Graph.id with
-              | Some (Plan.Diagonal { Cost.n1; _ }) ->
-                Some (Dsl.bsgs_matvec ~g:n1 (get src) ~diagonals:cols ~name:w)
-              | Some Plan.Column -> Some (column_matvec (get src) ~rows ~cols ~name:w)
-              | None -> invalid_arg "Lower: plan has no packing for a matmul node")
-            | Graph.Conv2d { src; w; width; fold; _ } ->
-              Some (lower_conv (get src) ~w ~width ~fold)
-            | Graph.Act { src; coeffs; _ } -> Some (poly (get src) coeffs)
-            | Graph.Softmax { src; exp_coeffs; iters; _ } ->
-              Some (lower_softmax (get src) ~dim:n.Graph.dim ~exp_coeffs ~iters)
-            | Graph.Layernorm { src; gamma; eps; iters } ->
-              Some (lower_layernorm (get src) ~dim:n.Graph.dim ~gamma ~eps ~iters)
-            | Graph.Mul (a, b) -> Some (Dsl.mul (get a) (get b))
-            | Graph.Add (a, b) -> Some (Dsl.add (get a) (get b))
-          in
-          Option.iter (Hashtbl.replace env n.Graph.id) value)
+          Option.iter (Hashtbl.replace env n.Graph.id) (emit_node plan p get n))
         g.Graph.nodes)

@@ -4,9 +4,9 @@
     Invariants (see DESIGN.md "Graph front-end"):
     - deterministic: the emitted program is a pure function of
       (graph, plan) — no randomness, no environment;
-    - plan-faithful: the operation counts recorded in the plan match
-      [Ct_ir.count_ops] of the emitted program exactly (pinned by
-      test);
+    - plan-faithful: it reads only the plan's packings and splits;
+      every op count of a graph is [Ct_ir.count_ops] of the program
+      emitted here (the programs are pinned by digest in the tests);
     - matvec-compatible: diagonal matmuls go through
       [Dsl.bsgs_matvec ?g], so baby rotations form the input-broadcast
       batches the keyswitch pass hoists ([Eval.rotate_many]) and a
@@ -17,7 +17,9 @@
       their gamma name — {!Binding.plaintexts} materializes exactly
       these.
 
-    Bootstraps are placed automatically: when a node would push an
+    Bootstraps are placed automatically.  Each node's routine is first
+    emitted alone into a throwaway program to measure the ct-ct
+    products and levels it spends; when the node would push an
     operand's ciphertext-product depth past [refresh_depth] (default
     12 — where the conservative noise estimate starts compounding;
     see {!Cinnamon_compiler.Noise}) or past the remaining level

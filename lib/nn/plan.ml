@@ -1,219 +1,50 @@
-(* Packing planner (see plan.mli).
-
-   The per-node counts must mirror Lower's emission exactly — the
-   test suite pins plan totals against Ct_ir.count_ops of the lowered
-   program, so a drift in either place fails loudly.  Level figures
-   follow the actual builder accounting (Mul/Square/MulPlain/MulConst/
-   Rescale consume one level each) along the sequential chain. *)
+(* Packing planner (see plan.mli). *)
 
 type packing = Diagonal of Cost.split | Column
-
-type step = {
-  st_node : Graph.node_id;
-  st_desc : string;
-  st_packing : packing option;
-  st_rotations : int;
-  st_ct_muls : int;
-  st_pmults : int;
-  st_adds : int;
-  st_levels : int;
-  st_units : float;
-}
-
-type t = {
-  pl_graph : string;
-  pl_steps : step list;
-  pl_rotations : int;
-  pl_ct_muls : int;
-  pl_pmults : int;
-  pl_adds : int;
-  pl_levels : int;
-  pl_units : float;
-}
-
 type policy = Cost_optimal | Sqrt_split | Naive_column
 
-let log2 n = Cinnamon_util.Bitops.ceil_log2 n
-let cdiv = Cinnamon_util.Bitops.cdiv
+type t = {
+  graph : string;
+  matmuls : (Graph.node_id * string * packing) list;  (* node, description, packing *)
+}
 
-let zero node desc =
-  {
-    st_node = node;
-    st_desc = desc;
-    st_packing = None;
-    st_rotations = 0;
-    st_ct_muls = 0;
-    st_pmults = 0;
-    st_adds = 0;
-    st_levels = 0;
-    st_units = 0.0;
-  }
+let choose policy ~rows ~cols =
+  (* column packing rotate-and-sums over all [cols] slots of a window
+     and masks with period [rows]; both must be powers of two for the
+     halving sums and the slot replication to be exact *)
+  let column_ok = Cinnamon_util.Bitops.is_pow2 cols && Cinnamon_util.Bitops.is_pow2 rows in
+  match policy with
+  | Naive_column ->
+    if not column_ok then
+      invalid_arg
+        (Printf.sprintf "Plan: column packing needs power-of-two dims, got %dx%d" rows cols);
+    Column
+  | Sqrt_split ->
+    let n1 = max 1 (int_of_float (Float.round (sqrt (Float.of_int cols)))) in
+    Diagonal { Cost.n1; n2 = Cinnamon_util.Bitops.cdiv cols n1 }
+  | Cost_optimal ->
+    let w = Cost.default in
+    let split = Cost.best_split w ~diagonals:cols in
+    let diag = Cost.bsgs_units w ~diagonals:cols ~n1:split.Cost.n1 in
+    if column_ok && Cost.column_units w ~rows ~cols < diag then Column else Diagonal split
 
-(* Degree-d power-basis polynomial: x^2 (square) and x^3 (mul) powers,
-   one MulConst per coefficient c1..cd, (d-1) adds plus the AddConst. *)
-let act_counts d = ((if d >= 2 then 1 else 0) + (if d >= 3 then 1 else 0), d, d, d)
+let make ?(policy = Cost_optimal) (g : Graph.t) =
+  let matmul (n : Graph.node) =
+    match n.Graph.op with
+    | Graph.Matmul { w; rows; cols; _ } ->
+      Some (n.Graph.id, Printf.sprintf "matmul %s [%dx%d]" w rows cols, choose policy ~rows ~cols)
+    | _ -> None
+  in
+  { graph = g.Graph.name; matmuls = List.filter_map matmul (Array.to_list g.Graph.nodes) }
 
-(* Newton-Raphson reciprocal: init MulConst+AddConst, per iteration
-   mul, MulConst, AddConst, mul.  1 + 3*iters levels. *)
-let nr_inverse_counts it = (2 * it, 1 + it, 1 + it, 1 + (3 * it))
-
-(* Newton-Raphson inverse sqrt: square+mul+MulConst+AddConst+mul per
-   iteration.  1 + 4*iters levels. *)
-let nr_inv_sqrt_counts it = (3 * it, 1 + it, 1 + it, 1 + (4 * it))
-
-let units_of w st =
-  (* matmul steps get their units from the dedicated cost formulas *)
-  Float.of_int st.st_ct_muls *. w.Cost.w_keyswitch
-  +. (Float.of_int st.st_pmults *. w.Cost.w_pmult)
-  +. (Float.of_int st.st_adds *. w.Cost.w_add)
-  +. (Float.of_int st.st_levels *. w.Cost.w_level)
-
-let step_of_node w policy (n : Graph.node) =
-  let open Graph in
-  match n.op with
-  | Input { name } -> zero n.id (Printf.sprintf "input %s" name)
-  | Output { name; _ } -> zero n.id (Printf.sprintf "output %s" name)
-  | Reshape { dim; _ } -> zero n.id (Printf.sprintf "reshape %d" dim)
-  | Matmul { w = wname; rows; cols; _ } ->
-    let desc = Printf.sprintf "matmul %s [%dx%d]" wname rows cols in
-    (* column packing rotate-and-sums over all [cols] slots of a window
-       and masks with period [rows]; both must be powers of two for the
-       halving sums and the slot replication to be exact *)
-    let column_ok =
-      Cinnamon_util.Bitops.is_pow2 cols && Cinnamon_util.Bitops.is_pow2 rows
-    in
-    let packing =
-      match policy with
-      | Naive_column ->
-        if not column_ok then
-          invalid_arg
-            (Printf.sprintf "Plan: column packing needs power-of-two dims, got %dx%d" rows cols);
-        Column
-      | Sqrt_split ->
-        let n1 = max 1 (int_of_float (Float.round (sqrt (Float.of_int cols)))) in
-        Diagonal { Cost.n1; n2 = cdiv cols n1 }
-      | Cost_optimal ->
-        let split = Cost.best_split w ~diagonals:cols in
-        let diag = Cost.bsgs_units w ~diagonals:cols ~n1:split.Cost.n1 in
-        let col = Cost.column_units w ~rows ~cols in
-        if column_ok && col < diag then Column else Diagonal split
-    in
-    (match packing with
-    | Diagonal ({ n1; n2 } as split) ->
-      {
-        (zero n.id desc) with
-        st_packing = Some (Diagonal split);
-        st_rotations = n1 - 1 + (n2 - 1);
-        st_pmults = cols;
-        st_adds = cols - 1;
-        st_levels = 1;
-        st_units = Cost.bsgs_units w ~diagonals:cols ~n1;
-      }
-    | Column ->
-      {
-        (zero n.id desc) with
-        st_packing = Some Column;
-        st_rotations = rows * log2 cols;
-        st_pmults = 2 * rows;
-        st_adds = (rows * log2 cols) + rows - 1;
-        st_levels = 2;
-        st_units = Cost.column_units w ~rows ~cols;
-      })
-  | Conv2d { w = wname; height; width; fold; _ } ->
-    let rot = 8 + log2 fold in
-    let st =
-      {
-        (zero n.id (Printf.sprintf "conv2d %s [%dx%d fold %d]" wname height width fold)) with
-        st_rotations = rot;
-        st_pmults = 9;
-        st_adds = 8 + log2 fold;
-        st_levels = 1;
-      }
-    in
-    (* the 8 tap rotations rotate one input ciphertext: hoistable *)
-    { st with st_units = Cost.(hoisted_batch w 8 +. (Float.of_int (log2 fold) *. w.w_rotate)) +. units_of w st }
-  | Act { label; coeffs; _ } ->
-    let d = Array.length coeffs - 1 in
-    let ct, pm, ad, lv = act_counts d in
-    let st =
-      {
-        (zero n.id (Printf.sprintf "act %s deg %d" label d)) with
-        st_ct_muls = ct;
-        st_pmults = pm;
-        st_adds = ad;
-        st_levels = lv;
-      }
-    in
-    { st with st_units = units_of w st }
-  | Softmax { label; exp_coeffs; iters; _ } ->
-    let de = Array.length exp_coeffs - 1 in
-    let act_ct, act_pm, act_ad, act_lv = act_counts de in
-    let nr_ct, nr_pm, nr_ad, nr_lv = nr_inverse_counts iters in
-    let st =
-      {
-        (zero n.id (Printf.sprintf "softmax %s iters %d" label iters)) with
-        st_rotations = log2 n.dim;
-        st_ct_muls = act_ct + nr_ct + 1 (* final e * inv *);
-        st_pmults = act_pm + nr_pm + 1 (* 1/dim scaling *);
-        st_adds = act_ad + nr_ad + log2 n.dim;
-        st_levels = act_lv + nr_lv + 2;
-      }
-    in
-    { st with st_units = (Float.of_int (log2 n.dim) *. w.Cost.w_rotate) +. units_of w st }
-  | Layernorm { gamma; iters; _ } ->
-    let nr_ct, nr_pm, nr_ad, nr_lv = nr_inv_sqrt_counts iters in
-    let st =
-      {
-        (zero n.id (Printf.sprintf "layernorm %s iters %d" gamma iters)) with
-        st_rotations = 2 * log2 n.dim;
-        st_ct_muls = 1 + nr_ct + 1 (* square(centered) + centered * inv_std *);
-        st_pmults = 2 + nr_pm + 1 (* two 1/dim scalings + gamma *);
-        st_adds = (2 * log2 n.dim) + 2 + nr_ad (* two sums, sub, eps *);
-        st_levels = 4 + nr_lv + 1 (* mean+sub+sq+var, NR, final muls+gamma *);
-      }
-    in
-    { st with st_units = (Float.of_int (2 * log2 n.dim) *. w.Cost.w_rotate) +. units_of w st }
-  | Mul _ ->
-    let st = { (zero n.id "mul") with st_ct_muls = 1; st_levels = 1 } in
-    { st with st_units = units_of w st }
-  | Add _ ->
-    let st = { (zero n.id "add") with st_adds = 1 } in
-    { st with st_units = units_of w st }
-
-let make ?(weights = Cost.default) ?(policy = Cost_optimal) (g : Graph.t) =
-  let steps = Array.to_list (Array.map (step_of_node weights policy) g.Graph.nodes) in
-  let sum f = List.fold_left (fun a s -> a + f s) 0 steps in
-  {
-    pl_graph = g.Graph.name;
-    pl_steps = steps;
-    pl_rotations = sum (fun s -> s.st_rotations);
-    pl_ct_muls = sum (fun s -> s.st_ct_muls);
-    pl_pmults = sum (fun s -> s.st_pmults);
-    pl_adds = sum (fun s -> s.st_adds);
-    pl_levels = sum (fun s -> s.st_levels);
-    pl_units = List.fold_left (fun a s -> a +. s.st_units) 0.0 steps;
-  }
-
-let keyswitches t = t.pl_rotations + t.pl_ct_muls
-
-let packing_of t id =
-  match List.find_opt (fun s -> s.st_node = id) t.pl_steps with
-  | Some s -> s.st_packing
-  | None -> None
-
-let pp_packing fmt = function
-  | Diagonal { Cost.n1; n2 } -> Format.fprintf fmt "diagonal %dx%d" n1 n2
-  | Column -> Format.fprintf fmt "column"
+let packing_of t id = List.find_map (fun (n, _, p) -> if n = id then Some p else None) t.matmuls
 
 let pp fmt t =
-  Format.fprintf fmt "plan %s: %d rot, %d ct-mul, %d pmult, ~%d levels, %.1f units@." t.pl_graph
-    t.pl_rotations t.pl_ct_muls t.pl_pmults t.pl_levels t.pl_units;
+  Format.fprintf fmt "plan %s: %d matmuls@." t.graph (List.length t.matmuls);
   List.iter
-    (fun s ->
-      if s.st_units > 0.0 || s.st_packing <> None then
-        Format.fprintf fmt "  %%%d %-28s %s%3d rot %3d ks %3d pm  %.1f units@." s.st_node s.st_desc
-          (match s.st_packing with
-          | Some p -> Format.asprintf "[%a] " pp_packing p
-          | None -> "")
-          s.st_rotations s.st_ct_muls s.st_pmults s.st_units)
-    t.pl_steps
+    (fun (id, desc, packing) ->
+      Format.fprintf fmt "  %%%d %-28s %s@." id desc
+        (match packing with
+        | Diagonal { Cost.n1; n2 } -> Printf.sprintf "diagonal %dx%d" n1 n2
+        | Column -> "column"))
+    t.matmuls

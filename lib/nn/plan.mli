@@ -3,35 +3,14 @@
 
     [make] walks a {!Graph.t} and decides, per matmul, the packing
     (diagonal vs. naive column) and the BSGS split (n1 babies x n2
-    giants), recording for every node the operation counts the lowering
-    will emit — the counts are exact (pinned by test against
-    [Ct_ir.count_ops] of the lowered program), the level figure is the
-    sequential-chain estimate used for cost pressure. *)
+    giants), priced with {!Cost}.  That is all a plan holds: what each
+    layer then emits — rotations, products, levels — is a fact of the
+    lowered program ({!Lower}, [Ct_ir.count_ops]), not a second model
+    kept here. *)
 
 type packing = Diagonal of Cost.split | Column
 
-type step = {
-  st_node : Graph.node_id;
-  st_desc : string;
-  st_packing : packing option;  (** [Some] on matmul nodes *)
-  st_rotations : int;
-  st_ct_muls : int;  (** ct-ct products (relinearization keyswitches) *)
-  st_pmults : int;  (** plaintext/constant products *)
-  st_adds : int;
-  st_levels : int;
-  st_units : float;  (** keyswitch-equivalent cost *)
-}
-
-type t = {
-  pl_graph : string;
-  pl_steps : step list;
-  pl_rotations : int;
-  pl_ct_muls : int;
-  pl_pmults : int;
-  pl_adds : int;
-  pl_levels : int;
-  pl_units : float;
-}
+type t
 
 type policy =
   | Cost_optimal  (** per-shape argmin of the cost model (the default) *)
@@ -41,10 +20,12 @@ type policy =
           bit-identical *)
   | Naive_column  (** force column packing everywhere (the baseline) *)
 
-val make : ?weights:Cost.weights -> ?policy:policy -> Graph.t -> t
+(** Raises [Invalid_argument] when [Naive_column] meets a matmul whose
+    dims are not both powers of two (column packing would be inexact). *)
+val make : ?policy:policy -> Graph.t -> t
 
-(** Total keyswitches = rotations + ct-ct products. *)
-val keyswitches : t -> int
-
+(** [Some] exactly on matmul nodes. *)
 val packing_of : t -> Graph.node_id -> packing option
+
+(** One line per matmul: shape, packing and split. *)
 val pp : Format.formatter -> t -> unit

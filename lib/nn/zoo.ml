@@ -7,8 +7,7 @@
 (* Degree-d odd-ish "ReLU/GELU-shaped" polynomial coefficients; exact
    values only matter to the functional tests, which mirror them in
    the reference evaluator. *)
-let act_coeffs label deg =
-  ignore label;
+let act_coeffs deg =
   match deg with
   | 1 -> [| 0.0; 1.0 |]
   | 2 -> [| 0.1; 0.5; 0.4 |]
@@ -24,7 +23,7 @@ let matvec ?(dim = 10) () =
 
 let mlp3 ?(dim = 64) ?(classes = 10) ?(act_deg = 2) () =
   let b = Graph.create ~name:"mlp3" in
-  let coeffs = act_coeffs "relu" act_deg in
+  let coeffs = act_coeffs act_deg in
   let x = Graph.input b ~name:"x" ~dim in
   let h1 = Graph.act b ~label:"act1" ~coeffs (Graph.matmul b ~w:"w1" ~rows:dim ~cols:dim x) in
   let h2 = Graph.act b ~label:"act2" ~coeffs (Graph.matmul b ~w:"w2" ~rows:dim ~cols:dim h1) in
@@ -34,7 +33,7 @@ let mlp3 ?(dim = 64) ?(classes = 10) ?(act_deg = 2) () =
 
 let resnet_block ?(height = 32) ?(width = 32) ?(fold = 8) ?(act_deg = 3) () =
   let b = Graph.create ~name:"resnet-block" in
-  let coeffs = act_coeffs "relu" act_deg in
+  let coeffs = act_coeffs act_deg in
   let x = Graph.input b ~name:"x" ~dim:(height * width) in
   let c1 = Graph.act b ~label:"relu1" ~coeffs (Graph.conv2d b ~w:"c1" ~height ~width ~fold x) in
   let c2 = Graph.conv2d b ~w:"c2" ~height ~width ~fold c1 in
@@ -50,13 +49,13 @@ let bert_encoder ?(d_model = 128) ?(d_ff = 256) ?(exp_deg = 3) ?(gelu_deg = 3) ?
   let q = proj "wq" x and k = proj "wk" x and v = proj "wv" x in
   let scores = Graph.mul b q k in
   let soft =
-    Graph.softmax b ~label:"softmax" ~exp_coeffs:(act_coeffs "exp" exp_deg) ~iters scores
+    Graph.softmax b ~label:"softmax" ~exp_coeffs:(act_coeffs exp_deg) ~iters scores
   in
   let av = Graph.mul b soft v in
   let o = proj "wo" av in
   let ln1 = Graph.layernorm b ~gamma:"ln1.gamma" ~iters (Graph.add b o x) in
   let h = Graph.matmul b ~w:"ff1" ~rows:d_ff ~cols:d_model ln1 in
-  let h = Graph.act b ~label:"gelu" ~coeffs:(act_coeffs "gelu" gelu_deg) h in
+  let h = Graph.act b ~label:"gelu" ~coeffs:(act_coeffs gelu_deg) h in
   let h2 = Graph.matmul b ~w:"ff2" ~rows:d_model ~cols:d_ff h in
   let ln2 = Graph.layernorm b ~gamma:"ln2.gamma" ~iters (Graph.add b h2 ln1) in
   Graph.output b ~name:"out" ln2;

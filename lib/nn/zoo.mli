@@ -5,7 +5,7 @@
 
 (** Power-basis activation coefficients of the given degree (1..3) —
     the smooth stand-ins for ReLU/GELU the workloads use. *)
-val act_coeffs : string -> int -> float array
+val act_coeffs : int -> float array
 
 (** A single [dim x dim] matmul — the graph behind the [matvec-<n>]
     kernel family (input ["v"], weight ["m"], output ["out"]). *)

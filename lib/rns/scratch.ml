@@ -70,16 +70,16 @@ let with_bufs ~n ~count f =
    concurrent Limb_buf ranges (accumulators, an extension column, key
    limbs...) and wants the working set resident picks the largest
    power-of-two coefficient count such that streams * len * 8 bytes
-   fits the budget — by default 512 KiB, a conservative per-core L2
+   fits the budget — 512 KiB, a conservative per-core L2
    share.  Clamped to [64, n]: below 64 elements the loop bookkeeping
    dominates any locality win, and a tile never exceeds one limb.
    Centralized here so every fused call site shares one definition of
    "L2-sized" instead of re-deriving it. *)
-let default_tile_budget = 512 * 1024
+let tile_budget_bytes = 512 * 1024
 
-let tile_len ?(budget_bytes = default_tile_budget) ~streams ~n () =
+let tile_len ~streams ~n () =
   if streams <= 0 then invalid_arg "Scratch.tile_len: streams must be positive";
-  let budget_elems = max 64 (budget_bytes / (8 * streams)) in
+  let budget_elems = max 64 (tile_budget_bytes / (8 * streams)) in
   let len = ref 64 in
   while 2 * !len <= budget_elems && 2 * !len <= n do
     len := 2 * !len
@@ -91,6 +91,6 @@ let tile_len ?(budget_bytes = default_tile_budget) ~streams ~n () =
    [n].  The usual case is count = streams, but callers that keep some
    streams in caller-owned storage (e.g. accumulator slabs) can borrow
    fewer. *)
-let with_tiles ?budget_bytes ~streams ~n ~count f =
-  let len = tile_len ?budget_bytes ~streams ~n () in
+let with_tiles ~streams ~n ~count f =
+  let len = tile_len ~streams ~n () in
   with_bufs ~n:len ~count (fun views -> f ~tile:len views)

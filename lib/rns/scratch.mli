@@ -15,16 +15,15 @@ val with_bufs : n:int -> count:int -> (Limb_buf.t array -> 'a) -> 'a
 (** Loan [count] distinct buffers of [n] elements each, cut
     consecutively from one slab.  They must not escape [f]. *)
 
-val tile_len : ?budget_bytes:int -> streams:int -> n:int -> unit -> int
+val tile_len : streams:int -> n:int -> unit -> int
 (** Cache-tile size for fused kernels: the largest power-of-two
     coefficient count such that [streams] concurrent Limb_buf ranges
-    of that length fit [budget_bytes] (default 512 KiB — a
-    conservative per-core L2 share), clamped to [64, n].  Centralized
+    of that length fit 512 KiB (a conservative per-core L2 share),
+    clamped to [64, n].  Centralized
     so every fused call site shares one definition of "L2-sized"
     instead of re-deriving it. *)
 
-val with_tiles :
-  ?budget_bytes:int -> streams:int -> n:int -> count:int -> (tile:int -> Limb_buf.t array -> 'a) -> 'a
+val with_tiles : streams:int -> n:int -> count:int -> (tile:int -> Limb_buf.t array -> 'a) -> 'a
 (** Tile-granularity {!with_bufs}: loan [count] buffers of
     [tile_len ~streams ~n] elements each and pass the chosen tile
     length to [f].  They must not escape [f]. *)

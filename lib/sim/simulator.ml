@@ -261,9 +261,8 @@ let run cfg (mp : I.machine_program) : result =
             let dur = C.net_cycles cfg bytes + hops in
             let t_done = t_arrive + dur in
             List.iter
-              (fun (c', _, _, t_c) ->
+              (fun (c', _, _, _) ->
                 let st' = states.(c') in
-                ignore t_c;
                 (* rendezvous wait (peers still arriving) then transfer *)
                 if t_arrive > st'.cursor then begin
                   st'.st_network <- st'.st_network + (t_arrive - st'.cursor);

@@ -58,9 +58,10 @@ module Histogram = struct
     mutable vmax : float;
   }
 
-  let make ?(buckets = 512) ~lo ~hi () =
+  let buckets = 512
+
+  let make ~lo ~hi () =
     if not (lo > 0.0 && hi > lo) then invalid_arg "Stats.Histogram.make: need 0 < lo < hi";
-    if buckets < 1 then invalid_arg "Stats.Histogram.make: need at least one bucket";
     {
       lo;
       log_ratio = log (hi /. lo) /. Float.of_int buckets;

@@ -24,11 +24,10 @@ val percentile : p:float -> float list -> float
 module Histogram : sig
   type t
 
-  (** [make ~lo ~hi ()] spans [(0, hi]] with [buckets] (default 512)
-      geometric buckets between [lo] and [hi]; samples outside
-      [\[lo, hi\]] clamp into the edge buckets.  Requires
-      [0 < lo < hi]. *)
-  val make : ?buckets:int -> lo:float -> hi:float -> unit -> t
+  (** [make ~lo ~hi ()] spans [(0, hi]] with 512 geometric buckets
+      between [lo] and [hi]; samples outside [\[lo, hi\]] clamp into
+      the edge buckets.  Requires [0 < lo < hi]. *)
+  val make : lo:float -> hi:float -> unit -> t
 
   (** Record one sample.  Rejects [nan]. *)
   val add : t -> float -> unit

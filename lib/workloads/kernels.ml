@@ -44,8 +44,6 @@ let boot_shape_21 =
 (* Emit one bootstrap into an existing program; returns the refreshed
    value.  [tag] namespaces the plaintext operands. *)
 let emit_bootstrap ?(progpar = false) p shape ~tag v =
-  let _p = p in
-  ignore progpar;
   (* ModRaise is free (reinterpretation); C2S factors: *)
   let x = ref v in
   for s = 0 to shape.c2s_splits - 1 do
@@ -72,8 +70,8 @@ let emit_bootstrap ?(progpar = false) p shape ~tag v =
   (* program-level parallelism (paper Fig. 13's "+Program parallelism"):
      the two EvalMod halves run as two concurrent streams mapped to two
      chip sub-groups each *)
-  let a' = if progpar then Dsl.in_stream _p 1 (fun () -> em ct_a 0) else em ct_a 0 in
-  let b' = if progpar then Dsl.in_stream _p 2 (fun () -> em ct_b 1) else em ct_b 1 in
+  let a' = if progpar then Dsl.in_stream p 1 (fun () -> em ct_a 0) else em ct_a 0 in
+  let b' = if progpar then Dsl.in_stream p 2 (fun () -> em ct_b 1) else em ct_b 1 in
   let w = Dsl.add a' b' in
   let y = ref w in
   for s = 0 to shape.s2c_splits - 1 do
@@ -83,21 +81,17 @@ let emit_bootstrap ?(progpar = false) p shape ~tag v =
   !y
 
 (* Standalone bootstrap benchmark: [parallel] independent ciphertexts
-   bootstrapped in [streams] concurrent streams. *)
-let bootstrap_program ?(shape = boot_shape_13) ?(parallel = 1) ?(streams = 1) ?(progpar = false) () =
+   bootstrapped one after another in IR stream 1. *)
+let bootstrap_program ?(shape = boot_shape_13) ?(parallel = 1) ?(progpar = false) () =
   Dsl.program ~top_level:51 ~boot_level:13 (fun p ->
-      Dsl.stream_pool p ~streams (fun s ->
-          let per_stream = Cinnamon_util.Bitops.cdiv parallel streams in
-          for i = 0 to per_stream - 1 do
-            let idx = (s * per_stream) + i in
-            if idx < parallel then begin
-              let v = Dsl.input p (Printf.sprintf "ct%d" idx) in
-              (* all instances share one set of plaintext matrices and
-                 sine coefficients — the cache-sharing effect behind the
-                 paper's Fig. 6 *)
-              let r = emit_bootstrap ~progpar p shape ~tag:"bs" v in
-              Dsl.output r (Printf.sprintf "out%d" idx)
-            end
+      Dsl.in_stream p 1 (fun () ->
+          for i = 0 to parallel - 1 do
+            let v = Dsl.input p (Printf.sprintf "ct%d" i) in
+            (* all instances share one set of plaintext matrices and
+               sine coefficients — the cache-sharing effect behind the
+               paper's Fig. 6 *)
+            let r = emit_bootstrap ~progpar p shape ~tag:"bs" v in
+            Dsl.output r (Printf.sprintf "out%d" i)
           done))
 
 (* --- linear algebra kernels ---------------------------------------------- *)
@@ -122,7 +116,7 @@ let matvec_program ~diagonals () =
    kernel positions become 9 rotations of the input, multiplied by
    packed weight plaintexts and accumulated; channel fold-in adds a
    rotate-and-sum over the channel gap. *)
-let conv_block _p ~tag v =
+let conv_block ~tag v =
   let taps =
     List.init 9 (fun i ->
         Dsl.mul_plain (Dsl.rotate v (((i mod 3) - 1) + (32 * ((i / 3) - 1)))) (tag ^ ".w" ^ string_of_int i))
@@ -137,8 +131,7 @@ let relu_block v ~tag = Cinnamon.Dsl.poly_eval v ~deg:27 ~name:(tag ^ ".relu")
 
 (* An HELR iteration: a BSGS matvec over the minibatch, a degree-7
    sigmoid, and the gradient update. *)
-let helr_iteration p ~tag w =
-  ignore p;
+let helr_iteration ~tag w =
   let z = Dsl.bsgs_matvec w ~diagonals:16 ~name:(tag ^ ".x") in
   let s = Dsl.poly_eval z ~deg:7 ~name:(tag ^ ".sigmoid") in
   let grad = Dsl.mul_plain s (tag ^ ".xt") in
@@ -147,8 +140,7 @@ let helr_iteration p ~tag w =
 (* BERT attention block on one head-group ciphertext: Q/K/V
    projections (BSGS), scores QK^T, softmax (exp poly + NR inverse),
    AV, and the output projection. *)
-let attention_block p ~tag v =
-  ignore p;
+let attention_block ~tag v =
   let q = Dsl.bsgs_matvec v ~diagonals:24 ~name:(tag ^ ".wq") in
   let k = Dsl.bsgs_matvec v ~diagonals:24 ~name:(tag ^ ".wk") in
   let vv = Dsl.bsgs_matvec v ~diagonals:24 ~name:(tag ^ ".wv") in
@@ -175,7 +167,7 @@ let gelu_block v ~tag = Dsl.poly_eval v ~deg:31 ~name:(tag ^ ".gelu")
    expensive conversion circuit is still far cheaper than shipping
    fresh CKKS ciphertexts), so the default three rounds cost six
    levels and never bootstrap. *)
-let transcipher_block _p ~rounds ~tag k =
+let transcipher_block ~rounds ~tag k =
   let x = ref k in
   for r = 0 to rounds - 1 do
     (* affine diffusion: mix each slot with two neighbours *)
@@ -191,11 +183,10 @@ let transcipher_block _p ~rounds ~tag k =
 let transcipher_program ?(rounds = 3) () =
   Dsl.program (fun p ->
       let k = Dsl.input p "sym_key" in
-      Dsl.output (transcipher_block p ~rounds ~tag:"tc" k) "ct")
+      Dsl.output (transcipher_block ~rounds ~tag:"tc" k) "ct")
 
 (* BERT layernorm: mean/variance by rotate-sum, NR inverse sqrt. *)
-let layernorm_block p ~tag v =
-  ignore p;
+let layernorm_block ~tag v =
   let mean = Dsl.mul_const (Dsl.sum_slots v ~n:128) (1.0 /. 128.0) in
   let centered = Dsl.sub v mean in
   let var = Dsl.mul_const (Dsl.sum_slots (Dsl.square centered) ~n:128) (1.0 /. 128.0) in

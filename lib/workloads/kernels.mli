@@ -21,28 +21,28 @@ val boot_shape_13 : boot_shape
 val boot_shape_21 : boot_shape
 
 val bootstrap_program :
-  ?shape:boot_shape -> ?parallel:int -> ?streams:int -> ?progpar:bool -> unit -> Cinnamon_ir.Ct_ir.t
+  ?shape:boot_shape -> ?parallel:int -> ?progpar:bool -> unit -> Cinnamon_ir.Ct_ir.t
 
 val matvec_program : diagonals:int -> unit -> Cinnamon_ir.Ct_ir.t
 
 (** ResNet-20 3x3 convolution block (9 rotations + channel fold). *)
-val conv_block : Cinnamon.Dsl.t -> tag:string -> Cinnamon.Dsl.ct -> Cinnamon.Dsl.ct
+val conv_block : tag:string -> Cinnamon.Dsl.ct -> Cinnamon.Dsl.ct
 
 (** Degree-27 polynomial ReLU. *)
 val relu_block : Cinnamon.Dsl.ct -> tag:string -> Cinnamon.Dsl.ct
 
 (** One HELR iteration: matvec + sigmoid + update. *)
-val helr_iteration : Cinnamon.Dsl.t -> tag:string -> Cinnamon.Dsl.ct -> Cinnamon.Dsl.ct
+val helr_iteration : tag:string -> Cinnamon.Dsl.ct -> Cinnamon.Dsl.ct
 
 (** BERT attention: QKV projections, scores, softmax (exp poly + NR
     inverse), AV, output projection. *)
-val attention_block : Cinnamon.Dsl.t -> tag:string -> Cinnamon.Dsl.ct -> Cinnamon.Dsl.ct
+val attention_block : tag:string -> Cinnamon.Dsl.ct -> Cinnamon.Dsl.ct
 
 (** Degree-31 tanh-form GELU. *)
 val gelu_block : Cinnamon.Dsl.ct -> tag:string -> Cinnamon.Dsl.ct
 
 (** Layernorm: moments by rotate-sum + NR inverse sqrt. *)
-val layernorm_block : Cinnamon.Dsl.t -> tag:string -> Cinnamon.Dsl.ct -> Cinnamon.Dsl.ct
+val layernorm_block : tag:string -> Cinnamon.Dsl.ct -> Cinnamon.Dsl.ct
 
 (** Standalone transcipher kernel; default 3 rounds = 6 levels. *)
 val transcipher_program : ?rounds:int -> unit -> Cinnamon_ir.Ct_ir.t

@@ -169,34 +169,20 @@ let graph_benchmarks =
       (name, { bench_name = name; segments = [ seg k ]; paper_times = [] }))
     graph_kernels
 
+(* A one-input, one-output program around a layer block. *)
+let block_program input block =
+  Cinnamon.Dsl.program (fun p -> Cinnamon.Dsl.output (block (Cinnamon.Dsl.input p input)) "out")
+
 (* Build the ct-IR program of one kernel instance. *)
 let kernel_program = function
   | K_bootstrap shape -> Kernels.bootstrap_program ~shape ()
   | K_matvec d -> Kernels.matvec_program ~diagonals:d ()
-  | K_conv ->
-    Cinnamon.Dsl.program (fun p ->
-        let v = Cinnamon.Dsl.input p "x" in
-        Cinnamon.Dsl.output (Kernels.conv_block p ~tag:"conv" v) "out")
-  | K_relu ->
-    Cinnamon.Dsl.program (fun p ->
-        let v = Cinnamon.Dsl.input p "x" in
-        Cinnamon.Dsl.output (Kernels.relu_block v ~tag:"relu") "out")
-  | K_helr_iter ->
-    Cinnamon.Dsl.program (fun p ->
-        let w = Cinnamon.Dsl.input p "w" in
-        Cinnamon.Dsl.output (Kernels.helr_iteration p ~tag:"helr" w) "out")
-  | K_attention ->
-    Cinnamon.Dsl.program (fun p ->
-        let v = Cinnamon.Dsl.input p "x" in
-        Cinnamon.Dsl.output (Kernels.attention_block p ~tag:"attn" v) "out")
-  | K_gelu ->
-    Cinnamon.Dsl.program (fun p ->
-        let v = Cinnamon.Dsl.input p "x" in
-        Cinnamon.Dsl.output (Kernels.gelu_block v ~tag:"gelu") "out")
-  | K_layernorm ->
-    Cinnamon.Dsl.program (fun p ->
-        let v = Cinnamon.Dsl.input p "x" in
-        Cinnamon.Dsl.output (Kernels.layernorm_block p ~tag:"ln" v) "out")
+  | K_conv -> block_program "x" (Kernels.conv_block ~tag:"conv")
+  | K_relu -> block_program "x" (Kernels.relu_block ~tag:"relu")
+  | K_helr_iter -> block_program "w" (Kernels.helr_iteration ~tag:"helr")
+  | K_attention -> block_program "x" (Kernels.attention_block ~tag:"attn")
+  | K_gelu -> block_program "x" (Kernels.gelu_block ~tag:"gelu")
+  | K_layernorm -> block_program "x" (Kernels.layernorm_block ~tag:"ln")
   | K_graph g -> Cinnamon_nn.Lower.lower g
   | K_transcipher rounds -> Kernels.transcipher_program ~rounds ()
 

@@ -110,6 +110,54 @@ let test_dsl_sum_slots () =
   let c = Ct_ir.count_ops prog in
   Alcotest.(check int) "log2(64) rotations" 6 c.Ct_ir.n_rotate
 
+(* Values of two programs mixed in a two-operand op are refused, in
+   either operand position: ids are per builder, so the foreign value
+   would silently alias this program's value of the same id. *)
+let test_dsl_mixed_programs () =
+  let refused name op =
+    ignore
+      (Dsl.program (fun p ->
+           let a = Dsl.input p "a" in
+           ignore
+             (Dsl.program (fun q ->
+                  let b = Dsl.input q "b" in
+                  List.iter
+                    (fun (order, f) ->
+                      match f () with
+                      | _ -> Alcotest.failf "%s (%s) mixed two programs" name order
+                      | exception Cinnamon_util.Error.Error e ->
+                        Alcotest.(check bool)
+                          (name ^ " is an invalid input") true
+                          (Cinnamon_util.Error.kind e = Cinnamon_util.Error.Invalid_input))
+                    [ ("foreign second", fun () -> op a b); ("foreign first", fun () -> op b a) ]))))
+  in
+  refused "add" Dsl.add;
+  refused "sub" Dsl.sub;
+  refused "mul" Dsl.mul
+
+(* Levels the Newton-Raphson routines consume: one MulConst for the
+   initial guess, then 3 (reciprocal) or 4 (inverse sqrt) per
+   iteration. *)
+let test_dsl_nr_levels () =
+  let drop routine iters =
+    let drop = ref 0 in
+    ignore
+      (Dsl.program ~top_level:40 (fun p ->
+           drop := 40 - Dsl.budget (routine (Dsl.input p "v") ~iters)));
+    !drop
+  in
+  List.iter
+    (fun iters ->
+      Alcotest.(check int)
+        (Printf.sprintf "nr_inverse %d iters" iters)
+        (1 + (3 * iters))
+        (drop Dsl.nr_inverse iters);
+      Alcotest.(check int)
+        (Printf.sprintf "nr_inv_sqrt %d iters" iters)
+        (1 + (4 * iters))
+        (drop Dsl.nr_inv_sqrt iters))
+    [ 1; 2; 3 ]
+
 (* --- poly lowering -------------------------------------------------------- *)
 
 let lower prog =
@@ -210,6 +258,8 @@ let suite =
       Alcotest.test_case "rotate 0" `Quick test_rotate_zero_is_identity;
       Alcotest.test_case "bsgs shape" `Quick test_bsgs_pattern_shape;
       Alcotest.test_case "sum_slots rotations" `Quick test_dsl_sum_slots;
+      Alcotest.test_case "dsl refuses mixed programs" `Quick test_dsl_mixed_programs;
+      Alcotest.test_case "nr routine levels" `Quick test_dsl_nr_levels;
       Alcotest.test_case "lower add" `Quick test_lower_add_expands;
       Alcotest.test_case "lower mul" `Quick test_lower_mul_structure;
       Alcotest.test_case "lower rotate" `Quick test_lower_rotate_structure;

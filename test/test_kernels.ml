@@ -361,8 +361,8 @@ let test_scratch_shapes () =
           Alcotest.(check int) "outer len" 7 (Limb_buf.length a)))
 
 let test_scratch_tiles () =
-  (* tile_len: power of two, fits the byte budget, clamped to [64, n] *)
-  let len = Scratch.tile_len ~budget_bytes:(512 * 1024) ~streams:6 ~n:65536 () in
+  (* tile_len: power of two, fits the 512 KiB budget, clamped to [64, n] *)
+  let len = Scratch.tile_len ~streams:6 ~n:65536 () in
   Alcotest.(check bool) "pow2" true (len land (len - 1) = 0);
   Alcotest.(check bool) "fits budget" true (6 * len * 8 <= 512 * 1024);
   Alcotest.(check bool) "at least 64" true (len >= 64);
